@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <vector>
 
 #include "gpf.hpp"
 
@@ -73,18 +74,41 @@ void bm_system_assemble(benchmark::State& state) {
     quadratic_system sys(nl);
     for (auto _ : state) {
         sys.assemble(pl);
-        benchmark::DoNotOptimize(sys.matrix_x().nonzeros());
+        benchmark::DoNotOptimize(sys.values_x().data());
     }
 }
 BENCHMARK(bm_system_assemble)->Arg(1000)->Arg(4000);
 
+/// The lockstep x/y CG core (cg_solve_pair) on an assembled placement
+/// system, cold-started each time: one shared-pattern solve of both axes.
+class cg_pair_problem {
+public:
+    explicit cg_pair_problem(std::size_t cells)
+        : nl_(make_circuit(cells)), sys_(nl_) {
+        sys_.assemble(nl_.centered_placement());
+        for (const double b : sys_.rhs_x()) bx_.push_back(-b);
+        for (const double b : sys_.rhs_y()) by_.push_back(-b);
+    }
+
+    std::size_t solve() {
+        xs_.assign(sys_.num_vars(), 0.0);
+        ys_.assign(sys_.num_vars(), 0.0);
+        const auto [rx, ry] = cg_solve_pair(
+            sys_.pattern(), {sys_.values_x(), {}, sys_.diagonal_x(), bx_, xs_},
+            {sys_.values_y(), {}, sys_.diagonal_y(), by_, ys_});
+        return rx.iterations + ry.iterations;
+    }
+
+private:
+    netlist nl_;
+    quadratic_system sys_;
+    std::vector<double> bx_, by_, xs_, ys_;
+};
+
 void bm_cg_solve(benchmark::State& state) {
-    const netlist nl = make_circuit(static_cast<std::size_t>(state.range(0)));
-    const placement pl = nl.centered_placement();
-    quadratic_system sys(nl);
-    sys.assemble(pl);
+    cg_pair_problem problem(static_cast<std::size_t>(state.range(0)));
     for (auto _ : state) {
-        benchmark::DoNotOptimize(sys.solve(pl, {}, {}));
+        benchmark::DoNotOptimize(problem.solve());
     }
 }
 BENCHMARK(bm_cg_solve)->Arg(1000)->Arg(4000);
@@ -195,12 +219,9 @@ BENCHMARK(bm_force_field_fft_threads)->Apply(thread_sweep)
 
 void bm_cg_solve_threads(benchmark::State& state) {
     use_threads(state.range(0));
-    const netlist nl = make_circuit(4000);
-    const placement pl = nl.centered_placement();
-    quadratic_system sys(nl);
-    sys.assemble(pl);
+    cg_pair_problem problem(20000);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(sys.solve(pl, {}, {}));
+        benchmark::DoNotOptimize(problem.solve());
     }
     use_threads(1);
 }

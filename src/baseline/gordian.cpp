@@ -18,43 +18,41 @@ struct region {
     std::vector<std::size_t> vars; ///< quadratic-system variable indices
 };
 
-/// Solve the quadratic system with per-variable anchors to region centers.
+/// Solve the quadratic system with per-variable anchors to region centers:
+/// (A + w·I_movable) p = −b + w·anchor, the anchor weight w a diagonal
+/// shift on the movable prefix of the variables (star centers stay free).
 placement solve_anchored(const quadratic_system& sys, const placement& start,
                          const std::vector<point>& anchor, double anchor_weight,
                          const cg_options& cg) {
     const std::size_t n = sys.num_vars();
-    GPF_CHECK(anchor.size() >= sys.num_movable());
+    const std::size_t m = sys.num_movable();
+    GPF_CHECK(anchor.size() >= m);
 
-    const auto solve_dim = [&](const csr_matrix& a, const std::vector<double>& b,
-                               bool is_x) {
-        std::vector<double> diag = a.diagonal();
-        std::vector<double> rhs(n);
+    const std::vector<double> shift(m, anchor_weight);
+    const auto setup = [&](const std::vector<double>& b, const std::vector<double>& diag,
+                           bool is_x, std::vector<double>& full_diag,
+                           std::vector<double>& rhs, std::vector<double>& x) {
+        full_diag = diag;
+        rhs.resize(n);
+        x.assign(n, 0.0);
         for (std::size_t v = 0; v < n; ++v) {
             double anchored = 0.0;
-            if (v < sys.num_movable()) {
+            if (v < m) {
                 anchored = anchor_weight * (is_x ? anchor[v].x : anchor[v].y);
-                diag[v] += anchor_weight;
+                full_diag[v] += anchor_weight;
+                x[v] = is_x ? start[sys.cell_of_var(v)].x : start[sys.cell_of_var(v)].y;
             }
             rhs[v] = -b[v] + anchored;
         }
-        const linear_operator apply = [&](const std::vector<double>& x,
-                                          std::vector<double>& y) {
-            a.multiply(x, y);
-            for (std::size_t v = 0; v < sys.num_movable(); ++v) y[v] += anchor_weight * x[v];
-        };
-        std::vector<double> x(n, 0.0);
-        for (std::size_t v = 0; v < sys.num_movable(); ++v) {
-            x[v] = is_x ? start[sys.cell_of_var(v)].x : start[sys.cell_of_var(v)].y;
-        }
-        cg_solve_operator(apply, diag, rhs, x, cg);
-        return x;
     };
-
-    const std::vector<double> xs = solve_dim(sys.matrix_x(), sys.rhs_x(), true);
-    const std::vector<double> ys = solve_dim(sys.matrix_y(), sys.rhs_y(), false);
+    std::vector<double> diag_x, diag_y, rhs_x, rhs_y, xs, ys;
+    setup(sys.rhs_x(), sys.diagonal_x(), true, diag_x, rhs_x, xs);
+    setup(sys.rhs_y(), sys.diagonal_y(), false, diag_y, rhs_y, ys);
+    cg_solve_pair(sys.pattern(), {sys.values_x(), shift, diag_x, rhs_x, xs},
+                  {sys.values_y(), shift, diag_y, rhs_y, ys}, cg);
 
     placement out = start;
-    for (std::size_t v = 0; v < sys.num_movable(); ++v) {
+    for (std::size_t v = 0; v < m; ++v) {
         out[sys.cell_of_var(v)] = point(xs[v], ys[v]);
     }
     return out;

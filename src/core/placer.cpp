@@ -7,6 +7,7 @@
 #include <limits>
 #include <optional>
 #include <sstream>
+#include <tuple>
 #include <utility>
 
 #include "cluster/coarsen.hpp"
@@ -126,49 +127,42 @@ void placer::reset_forces() {
 }
 
 std::pair<cg_result, cg_result> placer::wire_relax(placement& pl) {
-    system_.assemble(pl);
     const std::vector<point> vp = system_.variable_positions(pl);
     const double beta = options_.wire_relax_weight;
+    const std::size_t n = system_.num_vars();
 
-    const auto solve_dim = [&](const csr_matrix& a, const std::vector<double>& b,
-                               const std::vector<double>& diag, bool is_x,
-                               std::vector<double>& full_diag, std::vector<double>& rhs,
-                               std::vector<double>& x) {
-        full_diag.resize(system_.num_vars());
-        rhs.resize(system_.num_vars());
-        x.resize(system_.num_vars());
-        for (std::size_t v = 0; v < system_.num_vars(); ++v) {
+    // (C + β·W̃) p = −d + β·W̃·p_cur with W̃ = diag(C): the anchor is the
+    // diagonal shift s = β·diag(C). The move-target workspaces double as
+    // the solution vectors here (they are dead between transformations);
+    // delta_x_/delta_y_ must stay untouched — they carry the hold-and-move
+    // warm-start state.
+    const auto setup = [&](const std::vector<double>& b, const std::vector<double>& diag,
+                           bool is_x, std::vector<double>& shift,
+                           std::vector<double>& full_diag, std::vector<double>& rhs,
+                           std::vector<double>& x) {
+        shift.resize(n);
+        full_diag.resize(n);
+        rhs.resize(n);
+        x.resize(n);
+        for (std::size_t v = 0; v < n; ++v) {
             const double cur = is_x ? vp[v].x : vp[v].y;
+            shift[v] = beta * diag[v];
             full_diag[v] = diag[v] * (1.0 + beta);
             rhs[v] = -b[v] + beta * diag[v] * cur;
             x[v] = cur;
         }
-        const linear_operator apply = [&](const std::vector<double>& in,
-                                          std::vector<double>& out) {
-            a.multiply(in, out);
-            for (std::size_t v = 0; v < in.size(); ++v) out[v] += beta * diag[v] * in[v];
-        };
-        return cg_solve_operator(apply, full_diag, rhs, x, options_.cg);
     };
-    // The move-target workspaces double as the solution vectors here (they
-    // are dead between transformations); delta_x_/delta_y_ must stay
-    // untouched — they carry the hold-and-move warm-start state. x and y
-    // use disjoint buffers so the concurrent solves cannot alias.
-    cg_result res_x;
-    cg_result res_y;
-    parallel_invoke(
-        [&] {
-            res_x = solve_dim(system_.matrix_x(), system_.rhs_x(), system_.diagonal_x(),
-                              true, full_diag_x_, rhs_x_, move_x_);
-        },
-        [&] {
-            res_y = solve_dim(system_.matrix_y(), system_.rhs_y(), system_.diagonal_y(),
-                              false, full_diag_y_, rhs_y_, move_y_);
-        });
+    setup(system_.rhs_x(), system_.diagonal_x(), true, shift_x_, full_diag_x_, rhs_x_,
+          move_x_);
+    setup(system_.rhs_y(), system_.diagonal_y(), false, shift_y_, full_diag_y_, rhs_y_,
+          move_y_);
+    const auto results = cg_solve_pair(
+        system_.pattern(), {system_.values_x(), shift_x_, full_diag_x_, rhs_x_, move_x_},
+        {system_.values_y(), shift_y_, full_diag_y_, rhs_y_, move_y_}, options_.cg);
     for (std::size_t v = 0; v < system_.num_movable(); ++v) {
         pl[system_.cell_of_var(v)] = point(move_x_[v], move_y_[v]);
     }
-    return {res_x, res_y};
+    return results;
 }
 
 placement placer::transform(const placement& current) {
@@ -301,40 +295,24 @@ placement placer::transform(const placement& current) {
                 force_x_[v] = rhs_x_[v]; // exposed as this step's move force
                 force_y_[v] = rhs_y_[v];
             }
-            const auto solve_dim = [&](const csr_matrix& a,
-                                       const std::vector<double>& diag,
-                                       const std::vector<double>& rhs,
-                                       std::vector<double>& full_diag,
-                                       std::vector<double>& delta) {
-                full_diag.resize(system_.num_vars());
-                for (std::size_t v = 0; v < system_.num_vars(); ++v) {
-                    full_diag[v] = 2.0 * diag[v]; // C_vv + w̃_v with w̃ = C_vv
-                }
-                const linear_operator apply = [&](const std::vector<double>& x,
-                                                  std::vector<double>& y) {
-                    a.multiply(x, y);
-                    for (std::size_t v = 0; v < system_.num_vars(); ++v) {
-                        y[v] += diag[v] * x[v];
-                    }
-                };
-                // The previous transformation's displacement is a good
-                // guess for this one (the fields change slowly), but the
-                // CG trajectory then differs from a cold start, so warm
-                // starting is opt-in (see placer_options::warm_start_cg).
-                if (!options_.warm_start_cg || delta.size() != system_.num_vars()) {
-                    delta.assign(system_.num_vars(), 0.0);
-                }
-                return cg_solve_operator(apply, full_diag, rhs, delta, options_.cg);
-            };
-            parallel_invoke(
-                [&] {
-                    res_x = solve_dim(system_.matrix_x(), diag_x, rhs_x_,
-                                      full_diag_x_, delta_x_);
-                },
-                [&] {
-                    res_y = solve_dim(system_.matrix_y(), diag_y, rhs_y_,
-                                      full_diag_y_, delta_y_);
-                });
+            // w̃ = C_vv: the move springs are the diagonal shift s = diag(C),
+            // and the Jacobi diagonal is C_vv + w̃_v.
+            const std::size_t n = system_.num_vars();
+            full_diag_x_.resize(n);
+            full_diag_y_.resize(n);
+            for (std::size_t v = 0; v < n; ++v) {
+                full_diag_x_[v] = 2.0 * diag_x[v];
+                full_diag_y_[v] = 2.0 * diag_y[v];
+            }
+            // The previous transformation's displacement is a good guess
+            // for this one (the fields change slowly), but the CG
+            // trajectory then differs from a cold start, so warm starting
+            // is opt-in (see placer_options::warm_start_cg).
+            if (!options_.warm_start_cg || delta_x_.size() != n) delta_x_.assign(n, 0.0);
+            if (!options_.warm_start_cg || delta_y_.size() != n) delta_y_.assign(n, 0.0);
+            std::tie(res_x, res_y) = cg_solve_pair(
+                system_.pattern(), {system_.values_x(), diag_x, full_diag_x_, rhs_x_, delta_x_},
+                {system_.values_y(), diag_y, full_diag_y_, rhs_y_, delta_y_}, options_.cg);
             next = current;
             for (std::size_t v = 0; v < system_.num_movable(); ++v) {
                 const cell_id id = system_.cell_of_var(v);
@@ -349,19 +327,28 @@ placement placer::transform(const placement& current) {
             next = system_.solve(current, force_x_, force_y_, options_.cg, &res_x, &res_y);
         }
     }
-    std::size_t cg_x = res_x.iterations;
-    std::size_t cg_y = res_y.iterations;
     bool cg_converged = res_x.converged && res_y.converged;
     double cg_residual = worse_residual(res_x.residual, res_y.residual);
+    if (prof.enabled()) {
+        prof.add_cg_iterations(profile_phase::solve, res_x.iterations, res_y.iterations);
+    }
+    std::size_t cg_iterations = res_x.iterations + res_y.iterations;
 
-    // Periodic wire relaxation (see placer_options::wire_relax_interval).
+    // Periodic wire relaxation (see placer_options::wire_relax_interval),
+    // on a system re-assembled at the solved placement.
     if (options_.mode == placer_options::force_mode::hold_and_move &&
         options_.wire_relax_interval > 0 &&
         (history_.size() + 1) % options_.wire_relax_interval == 0) {
+        {
+            phase_timer timer(profile_phase::assemble);
+            system_.assemble(next);
+        }
         phase_timer timer(profile_phase::wire_relax);
         const auto [rx, ry] = wire_relax(next);
-        cg_x += rx.iterations;
-        cg_y += ry.iterations;
+        if (prof.enabled()) {
+            prof.add_cg_iterations(profile_phase::wire_relax, rx.iterations, ry.iterations);
+        }
+        cg_iterations += rx.iterations + ry.iterations;
         cg_converged = cg_converged && rx.converged && ry.converged;
         cg_residual = worse_residual(cg_residual, worse_residual(rx.residual, ry.residual));
     }
@@ -382,7 +369,7 @@ placement placer::transform(const placement& current) {
     stats.max_force = max_increment;
     stats.cg_residual = cg_residual;
     stats.cg_converged = cg_converged;
-    stats.cg_iterations = cg_x + cg_y;
+    stats.cg_iterations = cg_iterations;
     if (!cg_converged) {
         log(log_level::warning) << "cg did not converge at transformation "
                                 << stats.iteration << " (relative residual "
@@ -428,10 +415,7 @@ placement placer::transform(const placement& current) {
     }
 
     history_.push_back(stats);
-    if (prof.enabled()) {
-        prof.add_cg_iterations(cg_x, cg_y);
-        prof.end_transform();
-    }
+    if (prof.enabled()) prof.end_transform();
 
     // Optional invariant checkpoint (GPF_VERIFY=1): every transformation
     // must hand the next stage finite coordinates, untouched fixed cells
@@ -891,6 +875,7 @@ placement placer::run_loop(run_state& st) {
     };
 
     bool stopped_best = false;
+    const char* stop_cause = "iteration cap"; // unless the loop breaks earlier
     for (std::size_t it = st.next_iteration; it < options_.max_iterations; ++it) {
         // Crash drill (util/fault.hpp): die exactly as a SIGKILL'd worker
         // would — no unwinding, no flushing — so the supervisor's
@@ -1003,7 +988,10 @@ placement placer::run_loop(run_state& st) {
         if (it + 1 >= options_.min_iterations && stats.spread) {
             converged_ = true;
         }
-        if (step_callback_ && !step_callback_(stats, st.current)) break;
+        if (step_callback_ && !step_callback_(stats, st.current)) {
+            stop_cause = "step callback";
+            break;
+        }
         if (converged_) break;
 
         // Secondary stop: overflow plateau.
@@ -1014,6 +1002,7 @@ placement placer::run_loop(run_state& st) {
             } else if (++st.stalled >= options_.plateau_window) {
                 log(log_level::info) << "placer stopped on overflow plateau after "
                                      << history_.size() << " transformations";
+                stop_cause = "overflow plateau";
                 break;
             }
         }
@@ -1050,9 +1039,11 @@ placement placer::run_loop(run_state& st) {
     log(log_level::info) << "placer finished after " << history_.size()
                          << " transformations, hpwl="
                          << (history_.empty() ? 0.0 : history_.back().hpwl)
-                         << (converged_ ? " (spread criterion met)"
-                                        : stopped_best ? " (degraded stop)"
-                                                       : " (iteration cap)");
+                         << " ("
+                         << (converged_     ? "spread criterion met"
+                             : stopped_best ? "degraded stop"
+                                            : stop_cause)
+                         << ")";
     return std::move(st.current);
 }
 

@@ -366,7 +366,8 @@ private:
     void bump_heartbeat();
     std::uint64_t compute_digest() const;
     std::pair<std::size_t, std::size_t> density_dims() const;
-    /// Returns the (x, y) CG results of the relaxation solves.
+    /// Relaxation solve on a system assembled at pl; returns the (x, y) CG
+    /// results.
     std::pair<cg_result, cg_result> wire_relax(placement& pl);
     /// Health check of one completed transformation: "" when healthy,
     /// otherwise the reason. Pure reads — never touches placer state.
@@ -403,8 +404,9 @@ private:
     placement last_output_;
     std::vector<rect> cell_rects_;            ///< stamping workspace
     std::vector<double> move_x_, move_y_;     ///< move-target workspaces
-    std::vector<double> rhs_x_, rhs_y_;       ///< hold-and-move rhs workspaces
-    std::vector<double> full_diag_x_, full_diag_y_;
+    std::vector<double> rhs_x_, rhs_y_;       ///< solve rhs workspaces
+    std::vector<double> full_diag_x_, full_diag_y_; ///< diag(C) + shift
+    std::vector<double> shift_x_, shift_y_;   ///< wire-relax anchor β·diag(C)
     std::vector<double> delta_x_, delta_y_;   ///< displacement (warm-start state)
 };
 

@@ -2,10 +2,18 @@
 // definite systems arising from the quadratic placement objective
 // (section 4.1 of the paper: "solve equation (3) by using a conjugate
 // gradient approach with preconditioning").
+//
+// The placer always solves two systems at once — the x and y axes, whose
+// matrices share one sparsity pattern — each with an optional diagonal
+// shift (the hold-and-move springs, the wire-relaxation anchor, GORDIAN's
+// region anchors). One CG core runs both axes in lockstep: every
+// iteration is three slab passes over all pool threads, and each pass
+// serves both axes (the SpMV reads the shared column indices once).
 #pragma once
 
 #include <cstddef>
-#include <functional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "linalg/csr_matrix.hpp"
@@ -31,34 +39,37 @@ struct cg_result {
     double residual = 0.0; ///< final relative residual
 };
 
-/// Solve A x = b. x is the explicit starting guess x0 — warm-started
-/// solves pass the previous solution (or displacement) here — and holds
-/// the solution on return. A must be symmetric positive (semi-)definite
-/// with nonzero diagonal for the jacobi/ssor preconditioners.
-///
-/// `diagonal`, when given, must be the main diagonal of A; it spares the
-/// preconditioner an allocating a.diagonal() per solve (the placer passes
-/// the diagonal cached by quadratic_system::assemble).
+/// One axis of a paired solve: (A + diag(s)) x = b, with A's values on the
+/// pattern shared by both axes.
+struct cg_axis {
+    std::span<const double> values;   ///< A, one value per pattern entry
+    /// s on rows [0, shift.size()); later rows are unshifted (empty: A
+    /// alone). GORDIAN anchors only the movable prefix of its variables.
+    std::span<const double> shift;
+    /// diag(A) + s, the Jacobi/SSOR diagonal (entries must be positive);
+    /// may be empty with preconditioner_kind::none.
+    std::span<const double> diagonal;
+    std::span<const double> b;
+    /// The explicit starting guess — warm-started solves pass the previous
+    /// solution (or displacement) — holding the solution on return. Any
+    /// other size than the system's is reset to zeros.
+    std::vector<double>& x;
+};
+
+/// Solve the x and y axis systems in lockstep. Each axis keeps its own
+/// scalars, convergence test, breakdown guards and fault-injection visit
+/// (x first), so each result is bitwise the one a solve of that axis
+/// alone would give — for any GPF_THREADS and GPF_SIMD.
+std::pair<cg_result, cg_result> cg_solve_pair(const csr_pattern& pattern,
+                                              const cg_axis& x_axis,
+                                              const cg_axis& y_axis,
+                                              const cg_options& options = {});
+
+/// Solve A x = b for a single matrix (the same core, one axis). A must be
+/// symmetric positive (semi-)definite with positive diagonal for the
+/// jacobi/ssor preconditioners.
 cg_result cg_solve(const csr_matrix& a, const std::vector<double>& b,
-                   std::vector<double>& x, const cg_options& options = {},
-                   const std::vector<double>* diagonal = nullptr);
-
-/// Matrix-free variant: `apply` computes y = A x; `diagonal` is used for
-/// Jacobi preconditioning. SSOR needs the triangular structure of A and
-/// cannot exist behind an opaque operator: requesting it here downgrades
-/// to Jacobi and logs a one-time warning, so anchored solves (hold-and-
-/// move, wire relaxation) never lose the configured preconditioner
-/// silently. Used for modified systems like A + diag(anchor weights).
-using linear_operator = std::function<void(const std::vector<double>&, std::vector<double>&)>;
-cg_result cg_solve_operator(const linear_operator& apply,
-                            const std::vector<double>& diagonal,
-                            const std::vector<double>& b, std::vector<double>& x,
-                            const cg_options& options = {});
-
-/// Test support: re-arm the once-per-process SSOR→Jacobi downgrade
-/// warning of cg_solve_operator, so a regression test can pin the
-/// exactly-once contract regardless of what ran earlier in the process.
-void reset_cg_operator_ssor_warning();
+                   std::vector<double>& x, const cg_options& options = {});
 
 // --- small dense-free vector helpers shared by solver clients -------------
 

@@ -9,15 +9,31 @@
 
 namespace gpf {
 
-csr_matrix::csr_matrix(std::vector<std::size_t> row_ptr,
-                       std::vector<std::size_t> col_idx, std::vector<double> values)
-    : row_ptr_(std::move(row_ptr)),
-      col_idx_(std::move(col_idx)),
-      values_(std::move(values)) {
-    GPF_CHECK(!row_ptr_.empty());
-    GPF_CHECK(row_ptr_.front() == 0);
-    GPF_CHECK(row_ptr_.back() == col_idx_.size());
-    GPF_CHECK(col_idx_.size() == values_.size());
+void check_rows_fit_u32(std::size_t n) {
+    GPF_CHECK_MSG(n < (std::size_t{1} << 32),
+                  "CSR matrix of " << n << " rows exceeds 32-bit column indices");
+}
+
+csr_pattern::csr_pattern(std::vector<std::size_t> rp, std::vector<std::uint32_t> ci)
+    : row_ptr(std::move(rp)), col_idx(std::move(ci)) {
+    GPF_CHECK(!row_ptr.empty());
+    GPF_CHECK(row_ptr.front() == 0);
+    GPF_CHECK(row_ptr.back() == col_idx.size());
+    check_rows_fit_u32(rows());
+}
+
+std::size_t csr_pattern::slot(std::size_t i, std::size_t j) const {
+    GPF_CHECK(i < rows() && j < rows());
+    const auto begin = col_idx.begin() + static_cast<std::ptrdiff_t>(row_ptr[i]);
+    const auto end = col_idx.begin() + static_cast<std::ptrdiff_t>(row_ptr[i + 1]);
+    const auto it = std::lower_bound(begin, end, j);
+    if (it == end || *it != j) return npos;
+    return static_cast<std::size_t>(it - col_idx.begin());
+}
+
+csr_matrix::csr_matrix(csr_pattern pattern, std::vector<double> values)
+    : pattern_(std::move(pattern)), values_(std::move(values)) {
+    GPF_CHECK(pattern_.nonzeros() == values_.size());
 }
 
 void csr_matrix::multiply(const std::vector<double>& x, std::vector<double>& y) const {
@@ -29,15 +45,14 @@ void csr_matrix::multiply(const std::vector<double>& x, std::vector<double>& y) 
     // identical for any thread count and any GPF_SIMD setting.
     const simd_kernels& kern = simd();
     const double* vals = values_.data();
-    const std::size_t* cols = col_idx_.data();
+    const std::uint32_t* cols = pattern_.col_idx.data();
+    const std::size_t* rp = pattern_.row_ptr.data();
     const double* xp = x.data();
     parallel_for_chunks(
         n,
         [&](std::size_t begin, std::size_t end) {
             for (std::size_t i = begin; i < end; ++i) {
-                const std::size_t k0 = row_ptr_[i];
-                y[i] = kern.dot_gather(vals + k0, cols + k0, xp,
-                                       row_ptr_[i + 1] - k0);
+                y[i] = kern.dot_gather(vals + rp[i], cols + rp[i], xp, rp[i + 1] - rp[i]);
             }
         },
         /*grain=*/256);
@@ -53,24 +68,15 @@ std::vector<double> csr_matrix::diagonal() const {
 }
 
 double csr_matrix::at(std::size_t i, std::size_t j) const {
-    const std::size_t k = slot(i, j);
-    return k == npos ? 0.0 : values_[k];
-}
-
-std::size_t csr_matrix::slot(std::size_t i, std::size_t j) const {
-    GPF_CHECK(i < rows() && j < rows());
-    const auto begin = col_idx_.begin() + static_cast<std::ptrdiff_t>(row_ptr_[i]);
-    const auto end = col_idx_.begin() + static_cast<std::ptrdiff_t>(row_ptr_[i + 1]);
-    const auto it = std::lower_bound(begin, end, j);
-    if (it == end || *it != j) return npos;
-    return static_cast<std::size_t>(it - col_idx_.begin());
+    const std::size_t k = pattern_.slot(i, j);
+    return k == csr_pattern::npos ? 0.0 : values_[k];
 }
 
 bool csr_matrix::is_symmetric(double tol) const {
     const std::size_t n = rows();
     for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
-            const std::size_t j = col_idx_[k];
+        for (std::size_t k = pattern_.row_ptr[i]; k < pattern_.row_ptr[i + 1]; ++k) {
+            const std::size_t j = pattern_.col_idx[k];
             if (j < i) continue; // each off-diagonal pair checked once
             if (std::abs(values_[k] - at(j, i)) > tol) return false;
         }
@@ -95,9 +101,12 @@ csr_matrix coo_builder::build() {
         return a.row != b.row ? a.row < b.row : a.col < b.col;
     });
 
+    check_rows_fit_u32(n_);
     csr_matrix m;
-    m.row_ptr_.assign(n_ + 1, 0);
-    m.col_idx_.reserve(entries_.size());
+    std::vector<std::size_t>& row_ptr = m.pattern_.row_ptr;
+    std::vector<std::uint32_t>& col_idx = m.pattern_.col_idx;
+    row_ptr.assign(n_ + 1, 0);
+    col_idx.reserve(entries_.size());
     m.values_.reserve(entries_.size());
 
     std::size_t k = 0;
@@ -109,10 +118,10 @@ csr_matrix coo_builder::build() {
                 acc += entries_[k].value;
                 ++k;
             }
-            m.col_idx_.push_back(col);
+            col_idx.push_back(static_cast<std::uint32_t>(col));
             m.values_.push_back(acc);
         }
-        m.row_ptr_[i + 1] = m.values_.size();
+        row_ptr[i + 1] = m.values_.size();
     }
     entries_.clear();
     return m;

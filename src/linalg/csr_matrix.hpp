@@ -7,21 +7,46 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace gpf {
+
+/// Sparsity pattern of a CSR matrix: n+1 monotone row pointers and one
+/// 32-bit column index per stored entry (sorted within each row). The x
+/// and y matrices of the placement system share one pattern, so their
+/// paired solve reads each index once for both axes.
+struct csr_pattern {
+    std::vector<std::size_t> row_ptr;
+    std::vector<std::uint32_t> col_idx;
+
+    csr_pattern() = default;
+    /// Validates the shape; rows must fit the 32-bit column index.
+    csr_pattern(std::vector<std::size_t> row_ptr, std::vector<std::uint32_t> col_idx);
+
+    std::size_t rows() const { return row_ptr.empty() ? 0 : row_ptr.size() - 1; }
+    std::size_t nonzeros() const { return col_idx.size(); }
+
+    /// Sentinel returned by slot() for entries outside the pattern.
+    static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
+    /// Index of entry (i, j) into a value array over this pattern, npos if
+    /// not stored. O(log row_nnz).
+    std::size_t slot(std::size_t i, std::size_t j) const;
+};
+
+/// GPF_CHECKs that an n-row matrix can index its columns in 32 bits.
+void check_rows_fit_u32(std::size_t n);
 
 class csr_matrix {
 public:
     csr_matrix() = default;
 
-    /// Construct from raw CSR arrays (e.g. a precomputed symbolic pattern
-    /// with zeroed values). row_ptr must have n+1 monotone entries ending
-    /// at col_idx.size(), and values must match col_idx in length.
-    csr_matrix(std::vector<std::size_t> row_ptr, std::vector<std::size_t> col_idx,
-               std::vector<double> values);
+    /// A value array over a pattern (e.g. a precomputed symbolic pattern
+    /// with zeroed values); values must match the pattern's nonzeros.
+    csr_matrix(csr_pattern pattern, std::vector<double> values);
 
-    std::size_t rows() const { return row_ptr_.empty() ? 0 : row_ptr_.size() - 1; }
+    std::size_t rows() const { return pattern_.rows(); }
     std::size_t nonzeros() const { return values_.size(); }
 
     /// y = A * x. x.size() must equal rows(). Row-parallel over the worker
@@ -35,27 +60,16 @@ public:
     /// Value at (i, j), 0 if not stored. O(log row_nnz).
     double at(std::size_t i, std::size_t j) const;
 
-    /// Sentinel returned by slot() for entries outside the pattern.
-    static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
-    /// Index into values() of entry (i, j), npos if not stored. Lets
-    /// symbolic-then-numeric assemblers refill a fixed pattern in place.
-    std::size_t slot(std::size_t i, std::size_t j) const;
-
     /// True when the stored pattern and values are symmetric within tol.
     bool is_symmetric(double tol = 1e-12) const;
 
-    const std::vector<std::size_t>& row_pointers() const { return row_ptr_; }
-    const std::vector<std::size_t>& column_indices() const { return col_idx_; }
+    const csr_pattern& pattern() const { return pattern_; }
     const std::vector<double>& values() const { return values_; }
-    /// Mutable values for in-place numeric refill of a fixed pattern.
-    std::vector<double>& values() { return values_; }
 
 private:
     friend class coo_builder;
 
-    std::vector<std::size_t> row_ptr_;
-    std::vector<std::size_t> col_idx_;
+    csr_pattern pattern_;
     std::vector<double> values_;
 };
 

@@ -6,7 +6,6 @@
 #include <functional>
 
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
 
 namespace gpf {
 
@@ -147,8 +146,9 @@ void quadratic_system::build_symbolic() {
     // positions once, freeze them as the shared x/y CSR pattern, and
     // record the value slot of every edge contribution so the numeric
     // refill is a flat accumulation loop.
-    GPF_CHECK_MSG(num_vars_ < (std::size_t{1} << 32),
-                  "symbolic assembly packs (row, col) into 64 bits");
+    // (row, col) pairs pack into 64 bits, and columns into the pattern's
+    // 32-bit indices.
+    check_rows_fit_u32(num_vars_);
     std::vector<std::uint64_t> positions;
     positions.reserve(4 * edges_.size() + num_vars_);
     const auto pack = [](std::size_t i, std::size_t j) {
@@ -165,10 +165,10 @@ void quadratic_system::build_symbolic() {
     positions.erase(std::unique(positions.begin(), positions.end()), positions.end());
 
     std::vector<std::size_t> row_ptr(num_vars_ + 1, 0);
-    std::vector<std::size_t> col_idx(positions.size());
+    std::vector<std::uint32_t> col_idx(positions.size());
     for (std::size_t k = 0; k < positions.size(); ++k) {
         const std::size_t i = static_cast<std::size_t>(positions[k] >> 32);
-        col_idx[k] = static_cast<std::size_t>(positions[k] & 0xffffffffu);
+        col_idx[k] = static_cast<std::uint32_t>(positions[k] & 0xffffffffu);
         row_ptr[i + 1] = k + 1;
     }
     // Rows without entries inherit the previous row's end.
@@ -176,12 +176,12 @@ void quadratic_system::build_symbolic() {
         row_ptr[i] = std::max(row_ptr[i], row_ptr[i - 1]);
     }
 
-    ax_ = csr_matrix(row_ptr, col_idx, std::vector<double>(col_idx.size(), 0.0));
-    ay_ = csr_matrix(std::move(row_ptr), std::move(col_idx),
-                     std::vector<double>(ax_.nonzeros(), 0.0));
+    pattern_ = csr_pattern(std::move(row_ptr), std::move(col_idx));
+    ax_.assign(pattern_.nonzeros(), 0.0);
+    ay_.assign(pattern_.nonzeros(), 0.0);
 
     diag_slot_.resize(num_vars_);
-    for (std::size_t v = 0; v < num_vars_; ++v) diag_slot_[v] = ax_.slot(v, v);
+    for (std::size_t v = 0; v < num_vars_; ++v) diag_slot_[v] = pattern_.slot(v, v);
 
     edge_slots_.resize(edges_.size());
     for (std::size_t k = 0; k < edges_.size(); ++k) {
@@ -190,12 +190,12 @@ void quadratic_system::build_symbolic() {
         if (e.var_a != invalid_var && e.var_b != invalid_var) {
             s.aa = diag_slot_[e.var_a];
             s.bb = diag_slot_[e.var_b];
-            s.ab = ax_.slot(e.var_a, e.var_b);
-            s.ba = ax_.slot(e.var_b, e.var_a);
+            s.ab = pattern_.slot(e.var_a, e.var_b);
+            s.ba = pattern_.slot(e.var_b, e.var_a);
         } else {
             const std::size_t v = e.var_a != invalid_var ? e.var_a : e.var_b;
             s.aa = diag_slot_[v];
-            s.bb = s.ab = s.ba = csr_matrix::npos;
+            s.bb = s.ab = s.ba = csr_pattern::npos;
         }
     }
 }
@@ -228,8 +228,8 @@ void quadratic_system::assemble(const placement& current) {
     // summation order is part of the determinism contract), then add the
     // anchors. Net weights are read live so timing-driven weight updates
     // take effect without re-collecting edges.
-    std::vector<double>& vx = ax_.values();
-    std::vector<double>& vy = ay_.values();
+    std::vector<double>& vx = ax_;
+    std::vector<double>& vy = ay_;
     std::fill(vx.begin(), vx.end(), 0.0);
     std::fill(vy.begin(), vy.end(), 0.0);
     bx_.assign(num_vars_, 0.0);
@@ -375,12 +375,8 @@ placement quadratic_system::solve(const placement& start, const std::vector<doub
         ys[v] = vp[v].y;
     }
 
-    // The two axis systems are independent; solve them concurrently. Each
-    // solve is deterministic on its own, so concurrency cannot change bits.
-    cg_result res_x;
-    cg_result res_y;
-    parallel_invoke([&] { res_x = cg_solve(ax_, rx, xs, options, &diag_x_); },
-                    [&] { res_y = cg_solve(ay_, ry, ys, options, &diag_y_); });
+    const auto [res_x, res_y] = cg_solve_pair(
+        pattern_, {ax_, {}, diag_x_, rx, xs}, {ay_, {}, diag_y_, ry, ys}, options);
     if (result_x) *result_x = res_x;
     if (result_y) *result_y = res_y;
 

@@ -54,14 +54,20 @@ public:
     void assemble(const placement& current);
 
     bool assembled() const { return assembled_; }
-    const csr_matrix& matrix_x() const { return ax_; }
-    const csr_matrix& matrix_y() const { return ay_; }
+    /// The CSR pattern shared by the x and y matrices (one 32-bit column
+    /// index array for both), and each matrix's values over it.
+    const csr_pattern& pattern() const { return pattern_; }
+    const std::vector<double>& values_x() const { return ax_; }
+    const std::vector<double>& values_y() const { return ay_; }
+    /// Standalone copies of the assembled matrices (diagnostics, tests).
+    csr_matrix matrix_x() const { return csr_matrix(pattern_, ax_); }
+    csr_matrix matrix_y() const { return csr_matrix(pattern_, ay_); }
     const std::vector<double>& rhs_x() const { return bx_; }
     const std::vector<double>& rhs_y() const { return by_; }
 
-    /// Main diagonals of matrix_x()/matrix_y(), cached by assemble() so
+    /// Main diagonals of the x/y matrices, cached by assemble() so
     /// per-solve callers (hold-and-move, wire relaxation, Jacobi/SSOR
-    /// preconditioning) never pay an allocating diagonal() walk.
+    /// preconditioning) never walk the pattern for them.
     const std::vector<double>& diagonal_x() const;
     const std::vector<double>& diagonal_y() const;
 
@@ -122,7 +128,7 @@ private:
     /// position would be decided by solver round-off.
     std::vector<char> floating_;
 
-    /// Symbolic cache: slots into the (shared x/y) CSR pattern. For a
+    /// Symbolic cache: slots into the shared x/y CSR pattern. For a
     /// two-movable edge all four of {aa, bb, ab, ba} are valid; for a
     /// single-movable edge only aa (the movable endpoint's diagonal).
     struct edge_slots {
@@ -131,7 +137,8 @@ private:
     std::vector<edge_slots> edge_slots_; ///< parallel to edges_
     std::vector<std::size_t> diag_slot_; ///< per variable, slot of (v, v)
 
-    csr_matrix ax_, ay_;
+    csr_pattern pattern_;
+    std::vector<double> ax_, ay_; ///< values over pattern_
     std::vector<double> bx_, by_;
     std::vector<double> diag_x_, diag_y_; ///< cached by assemble()
     std::vector<point> var_pos_;          ///< assemble() workspace

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
+#include <string>
 
 namespace gpf {
 
@@ -67,11 +68,41 @@ void profiler::add_kernel_sample(profile_kernel kernel, double seconds,
     kernels_current_[i].calls += 1;
 }
 
-void profiler::add_cg_iterations(std::size_t x_iters, std::size_t y_iters) {
+namespace {
+
+std::size_t cg_kind_index(profile_phase kind) {
+    return kind == profile_phase::wire_relax ? 1 : 0;
+}
+
+/// A kernel's time, plus its GFLOP/s only when it has a flop model (a
+/// zero flop total has no meaningful rate); `trace` selects the compact
+/// trace-line form.
+std::string kernel_time_and_rate(double seconds, double flops, bool trace) {
+    char buf[64];
+    if (flops <= 0.0) {
+        std::snprintf(buf, sizeof buf, trace ? "%.3fms" : "%10.3f ms", seconds * 1e3);
+    } else {
+        const double gfs = seconds > 0.0 ? flops / seconds * 1e-9 : 0.0;
+        std::snprintf(buf, sizeof buf, trace ? "%.3fms/%.2fGF" : "%10.3f ms  %6.2f GFLOP/s",
+                      seconds * 1e3, gfs);
+    }
+    return buf;
+}
+
+} // namespace
+
+void profiler::add_cg_iterations(profile_phase kind, std::size_t x_iters,
+                                 std::size_t y_iters) {
     cg_x_total_ += x_iters;
     cg_y_total_ += y_iters;
     cg_x_current_ += x_iters;
     cg_y_current_ += y_iters;
+    cg_kind_total_[cg_kind_index(kind)] += x_iters + y_iters;
+    cg_kind_current_[cg_kind_index(kind)] += x_iters + y_iters;
+}
+
+std::size_t profiler::total_cg(profile_phase kind) const {
+    return cg_kind_total_[cg_kind_index(kind)];
 }
 
 void profiler::end_transform() {
@@ -88,18 +119,19 @@ void profiler::end_transform() {
         for (std::size_t i = 0; i < num_profile_kernels; ++i) {
             const kernel_totals& k = kernels_current_[i];
             if (k.calls == 0) continue;
-            const double gfs = k.seconds > 0.0 ? k.flops / k.seconds * 1e-9 : 0.0;
-            std::fprintf(stderr, " %s=%.3fms/%.2fGF",
+            std::fprintf(stderr, " %s=%s",
                          profile_kernel_name(static_cast<profile_kernel>(i)),
-                         k.seconds * 1e3, gfs);
+                         kernel_time_and_rate(k.seconds, k.flops, true).c_str());
         }
-        std::fprintf(stderr, " cg_x=%zu cg_y=%zu total=%.3fms\n", cg_x_current_,
-                     cg_y_current_, total * 1e3);
+        std::fprintf(stderr, " cg_x=%zu cg_y=%zu cg_solve=%zu cg_relax=%zu total=%.3fms\n",
+                     cg_x_current_, cg_y_current_, cg_kind_current_[0],
+                     cg_kind_current_[1], total * 1e3);
     }
     current_.fill(0.0);
     kernels_current_.fill(kernel_totals{});
     cg_x_current_ = 0;
     cg_y_current_ = 0;
+    cg_kind_current_.fill(0);
 }
 
 double profiler::total_seconds(profile_phase phase) const {
@@ -141,14 +173,14 @@ std::string profiler::summary() const {
     for (std::size_t i = 0; i < num_profile_kernels; ++i) {
         const kernel_totals& k = kernels_[i];
         if (k.calls == 0) continue;
-        const double gfs = k.seconds > 0.0 ? k.flops / k.seconds * 1e-9 : 0.0;
-        std::snprintf(line, sizeof line,
-                      "  kernel %-8s %10.3f ms  %6.2f GFLOP/s  (%zu calls)\n",
+        std::snprintf(line, sizeof line, "  kernel %-8s %s  (%zu calls)\n",
                       profile_kernel_name(static_cast<profile_kernel>(i)),
-                      k.seconds * 1e3, gfs, k.calls);
+                      kernel_time_and_rate(k.seconds, k.flops, false).c_str(), k.calls);
         os << line;
     }
-    os << "  cg iterations: x=" << cg_x_total_ << " y=" << cg_y_total_ << "\n";
+    os << "  cg iterations: x=" << cg_x_total_ << " y=" << cg_y_total_
+       << " (hold-and-move " << cg_kind_total_[0] << ", wire-relax "
+       << cg_kind_total_[1] << ")\n";
     return os.str();
 }
 
@@ -160,6 +192,8 @@ void profiler::reset() {
     transforms_ = 0;
     cg_x_total_ = cg_y_total_ = 0;
     cg_x_current_ = cg_y_current_ = 0;
+    cg_kind_total_.fill(0);
+    cg_kind_current_.fill(0);
 }
 
 } // namespace gpf

@@ -80,11 +80,16 @@ public:
     /// Record one kernel invocation: wall-clock seconds plus the nominal
     /// flop count of the work performed (for throughput reporting).
     void add_kernel_sample(profile_kernel kernel, double seconds, double flops);
-    void add_cg_iterations(std::size_t x_iters, std::size_t y_iters);
+    /// Record the (x, y) CG iterations of one paired solve of the given
+    /// kind: profile_phase::solve (the transformation's hold-and-move or
+    /// accumulate solve) or profile_phase::wire_relax.
+    void add_cg_iterations(profile_phase kind, std::size_t x_iters, std::size_t y_iters);
 
     /// Marks the end of one placement transformation; when tracing, emits
-    ///   GPF_PROFILE transform=N assemble=... ... cg_x=N cg_y=N total=...
-    /// with per-phase seconds for this transformation only.
+    ///   GPF_PROFILE transform=N assemble=... ... cg_x=N cg_y=N
+    ///   cg_solve=N cg_relax=N total=...
+    /// with per-phase seconds for this transformation only. Kernels with a
+    /// flop model print ms/GFLOP/s, the others ms alone.
     void end_transform();
 
     std::size_t transforms() const { return transforms_; }
@@ -93,8 +98,11 @@ public:
     double kernel_seconds(profile_kernel kernel) const;
     double kernel_flops(profile_kernel kernel) const;
     std::size_t kernel_calls(profile_kernel kernel) const;
+    /// CG iterations over both kinds of solve, per axis.
     std::size_t total_cg_x() const { return cg_x_total_; }
     std::size_t total_cg_y() const { return cg_y_total_; }
+    /// CG iterations (x + y) of one solve kind (see add_cg_iterations).
+    std::size_t total_cg(profile_phase kind) const;
 
     /// Multi-line human-readable summary of the accumulated totals.
     std::string summary() const;
@@ -122,9 +130,13 @@ private:
     std::array<double, num_profile_phases> current_{}; ///< this transform
     std::array<kernel_totals, num_profile_kernels> kernels_{};
     std::array<kernel_totals, num_profile_kernels> kernels_current_{};
+    /// Per-kind (x + y) CG iteration counters: index 0 solve, 1 wire_relax.
+    using cg_by_kind = std::array<std::size_t, 2>;
+
     std::size_t transforms_ = 0;
     std::size_t cg_x_total_ = 0, cg_y_total_ = 0;
     std::size_t cg_x_current_ = 0, cg_y_current_ = 0;
+    cg_by_kind cg_kind_total_{}, cg_kind_current_{};
 };
 
 /// RAII phase scope: records elapsed wall-clock into the global profiler

@@ -54,7 +54,7 @@ double dot_scalar(const double* a, const double* b, std::size_t n) {
     return acc;
 }
 
-double dot_gather_scalar(const double* v, const std::size_t* idx,
+double dot_gather_scalar(const double* v, const std::uint32_t* idx,
                          const double* x, std::size_t n) {
     double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
     const std::size_t m = n & ~std::size_t{3};
@@ -68,6 +68,44 @@ double dot_gather_scalar(const double* v, const std::size_t* idx,
     double acc = (l0 + l2) + (l1 + l3);
     for (; i < n; ++i) acc += v[i] * x[idx[i]];
     return acc;
+}
+
+// Two dot_gather reductions per row sharing one index stream: each axis
+// keeps its own four lane accumulators, so both results are bitwise
+// dot_gather's.
+void dot_gather_pair_scalar(const std::size_t* row_ptr, const std::uint32_t* idx,
+                            const double* vx, const double* vy, const double* px,
+                            const double* py, std::size_t begin, std::size_t end,
+                            double* ox, double* oy) {
+    for (std::size_t row = begin; row < end; ++row) {
+        const std::size_t k0 = row_ptr[row];
+        const std::size_t n = row_ptr[row + 1] - k0;
+        const std::uint32_t* j = idx + k0;
+        const double* ax = vx + k0;
+        const double* ay = vy + k0;
+        double x0 = 0.0, x1 = 0.0, x2 = 0.0, x3 = 0.0;
+        double y0 = 0.0, y1 = 0.0, y2 = 0.0, y3 = 0.0;
+        const std::size_t m = n & ~std::size_t{3};
+        std::size_t i = 0;
+        for (; i < m; i += 4) {
+            x0 += ax[i] * px[j[i]];
+            x1 += ax[i + 1] * px[j[i + 1]];
+            x2 += ax[i + 2] * px[j[i + 2]];
+            x3 += ax[i + 3] * px[j[i + 3]];
+            y0 += ay[i] * py[j[i]];
+            y1 += ay[i + 1] * py[j[i + 1]];
+            y2 += ay[i + 2] * py[j[i + 2]];
+            y3 += ay[i + 3] * py[j[i + 3]];
+        }
+        double sx = (x0 + x2) + (x1 + x3);
+        double sy = (y0 + y2) + (y1 + y3);
+        for (; i < n; ++i) {
+            sx += ax[i] * px[j[i]];
+            sy += ay[i] * py[j[i]];
+        }
+        ox[row] = sx;
+        oy[row] = sy;
+    }
 }
 
 // Complex multiply written in explicit real arithmetic — matches the
@@ -186,6 +224,7 @@ constexpr simd_kernels scalar_table = {
     detail::scale_scalar,
     detail::dot_scalar,
     detail::dot_gather_scalar,
+    detail::dot_gather_pair_scalar,
     detail::cmul_scalar,
     detail::cmul_pair_scalar,
     detail::fft_radix2_scalar,

@@ -1,6 +1,7 @@
 // Runtime-dispatched SIMD kernels for the flat inner loops of the
 // placement hot path: FFT butterflies, the spectral pointwise product,
-// CG axpy/dot/SpMV row products, and the bulk density-grid accumulation.
+// CG axpy/dot/SpMV row products (single and x/y-paired), and the bulk
+// density-grid accumulation.
 //
 // Dispatch model: one kernel table per instruction set (scalar always;
 // AVX2/AVX-512 when the translation units were compiled for x86 and the
@@ -21,14 +22,14 @@
 //     IEEE multiplies and adds. FMA contraction is disabled in every
 //     kernel translation unit (-ffp-contract=off and no -mfma), because
 //     a fused multiply-add rounds once where mul+add rounds twice.
-//   * Reductions (dot, dot_gather) are defined over simd_reduce_lanes
-//     fixed logical lanes: lane l accumulates elements i ≡ l (mod 4)
-//     over the 4-aligned prefix, lanes merge as (l0+l2)+(l1+l3), and the
-//     tail is added serially — the same slab-and-fixed-merge discipline
-//     as deterministic_sum (util/thread_pool.hpp). A 2-lane ISA (NEON)
-//     emulates the 4-lane shape with two vector accumulators; the scalar
-//     path runs four named accumulators. Identical trees, identical
-//     bits.
+//   * Reductions (dot, dot_gather, dot_gather_pair) are defined over
+//     simd_reduce_lanes fixed logical lanes: lane l accumulates elements
+//     i ≡ l (mod 4) over the 4-aligned prefix, lanes merge as
+//     (l0+l2)+(l1+l3), and the tail is added serially — the same
+//     slab-and-fixed-merge discipline as deterministic_sum
+//     (util/thread_pool.hpp). A 2-lane ISA (NEON) emulates the 4-lane
+//     shape with two vector accumulators; the scalar path runs four named
+//     accumulators. Identical trees, identical bits.
 //
 // Thread-safety: the active-table pointer is a single atomic. Resolution
 // happens once; simd_set_isa() (tests, tools) must not race a parallel
@@ -38,6 +39,7 @@
 
 #include <complex>
 #include <cstddef>
+#include <cstdint>
 
 namespace gpf {
 
@@ -69,8 +71,17 @@ struct simd_kernels {
     /// sum_i a[i] * b[i], fixed 4-lane reduction (see header comment)
     double (*dot)(const double* a, const double* b, std::size_t n);
     /// sum_k v[k] * x[idx[k]], fixed 4-lane reduction (CSR row product)
-    double (*dot_gather)(const double* v, const std::size_t* idx,
+    double (*dot_gather)(const double* v, const std::uint32_t* idx,
                          const double* x, std::size_t n);
+    /// Paired CSR row products over rows [begin, end) of one pattern shared
+    /// by two matrices (the x and y axes of a paired CG solve): for each
+    /// row i, ox[i] = sum_k vx[k] * px[idx[k]] and oy[i] likewise with
+    /// vy/py, k over [row_ptr[i], row_ptr[i+1]) — each bitwise the
+    /// dot_gather of that row, reading the indices once for both axes.
+    void (*dot_gather_pair)(const std::size_t* row_ptr, const std::uint32_t* idx,
+                            const double* vx, const double* vy, const double* px,
+                            const double* py, std::size_t begin, std::size_t end,
+                            double* ox, double* oy);
     /// w[i] *= s[i] (complex pointwise product of the spectral convolver)
     void (*cmul)(std::complex<double>* w, const std::complex<double>* s,
                  std::size_t n);

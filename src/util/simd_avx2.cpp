@@ -114,6 +114,7 @@ constexpr simd_kernels avx2_table = {
     scale_avx2,
     dot_x86,
     dot_gather_x86,
+    dot_gather_pair_x86,
     cmul_avx2,
     cmul_pair_avx2,
     fft_radix2_x86,

@@ -7,7 +7,7 @@
 // (4-complex) registers, which is safe because per-lane IEEE arithmetic
 // does not depend on register width. Two deliberate exceptions keep the
 // contract honest:
-//   * dot / dot_gather stay on the shared 256-bit bodies
+//   * dot / dot_gather / dot_gather_pair stay on the shared 256-bit bodies
 //     (util/simd_x86_common.hpp): widening the accumulator to 8 lanes
 //     would change the fixed (l0+l2)+(l1+l3) reduction tree and hence
 //     the rounding. simd_reduce_lanes stays 4 on every tier.
@@ -256,6 +256,7 @@ constexpr simd_kernels avx512_table = {
     scale_avx512,
     dot_x86,
     dot_gather_x86,
+    dot_gather_pair_x86,
     cmul_avx512,
     cmul_pair_avx512,
     fft_radix2_avx512,

@@ -33,8 +33,12 @@ void accumulate_scalar(const double* src, double* dst, std::size_t n);
 void add_scalar_scalar(double* dst, double c, std::size_t n);
 void scale_scalar(double* p, double s, std::size_t n);
 double dot_scalar(const double* a, const double* b, std::size_t n);
-double dot_gather_scalar(const double* v, const std::size_t* idx,
+double dot_gather_scalar(const double* v, const std::uint32_t* idx,
                          const double* x, std::size_t n);
+void dot_gather_pair_scalar(const std::size_t* row_ptr, const std::uint32_t* idx,
+                            const double* vx, const double* vy, const double* px,
+                            const double* py, std::size_t begin, std::size_t end,
+                            double* ox, double* oy);
 void cmul_scalar(std::complex<double>* w, const std::complex<double>* s,
                  std::size_t n);
 void cmul_pair_scalar(std::complex<double>* w, std::complex<double>* q,

@@ -8,8 +8,8 @@
 // accumulators (lanes {0,1} and {2,3}); the merge below folds them as
 // (l0+l2)+(l1+l3), matching scalar and AVX2 bit for bit. Sign flips are
 // applied by XOR on the sign bit — exact — so a + (−b) is bitwise a − b.
-// dot_gather reuses the scalar reference: CSR rows are short and a NEON
-// gather would be synthesized from scalar loads anyway.
+// dot_gather and dot_gather_pair reuse the scalar reference: CSR rows are
+// short and a NEON gather would be synthesized from scalar loads anyway.
 #include "util/simd_internal.hpp"
 
 #if defined(__aarch64__) && defined(__ARM_NEON) && !defined(GPF_DISABLE_SIMD)
@@ -193,7 +193,8 @@ constexpr simd_kernels neon_table = {
     add_scalar_neon,
     scale_neon,
     dot_neon,
-    dot_gather_scalar, // scalar reference (see header comment)
+    dot_gather_scalar,      // scalar reference (see header comment)
+    dot_gather_pair_scalar, // scalar reference (see header comment)
     cmul_neon,
     cmul_pair_neon,
     fft_radix2_neon,

@@ -5,10 +5,10 @@
 // (the linker never merges copies across the TUs).
 //
 // Two kinds of kernels live here:
-//   * the fixed-shape reductions (dot, dot_gather): these must stay
-//     4-lane / 256-bit on EVERY x86 tier — widening the accumulator to 8
-//     lanes would change the reduction tree and hence the rounding — so
-//     the AVX-512 table points at the exact same bodies;
+//   * the fixed-shape reductions (dot, dot_gather, dot_gather_pair): these
+//     must stay 4-lane / 256-bit on EVERY x86 tier — widening the
+//     accumulator to 8 lanes would change the reduction tree and hence
+//     the rounding — so the AVX-512 table points at the exact same bodies;
 //   * the small-block butterfly paths (radix-2 with len <= 4, radix-4
 //     with block <= 8): too narrow for 512-bit vectors, so the AVX-512
 //     passes delegate to these 128-bit-cross-permute forms.
@@ -80,18 +80,57 @@ static inline double dot_x86(const double* a, const double* b, std::size_t n) {
     return sum;
 }
 
-static inline double dot_gather_x86(const double* v, const std::size_t* idx,
+/// Four 32-bit column indices widened to 64-bit gather offsets. Zero
+/// extension, not _mm256_i32gather_pd's sign extension, so every uint32
+/// index addresses its element.
+static inline __m256i load_idx4(const std::uint32_t* idx) {
+    return _mm256_cvtepu32_epi64(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx)));
+}
+
+static inline double dot_gather_x86(const double* v, const std::uint32_t* idx,
                                     const double* x, std::size_t n) {
     __m256d acc = _mm256_setzero_pd();
     const std::size_t m = n & ~std::size_t{3};
     for (std::size_t i = 0; i < m; i += 4) {
-        const __m256i vi = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + i));
-        const __m256d vx = _mm256_i64gather_pd(x, vi, 8);
+        const __m256d vx = _mm256_i64gather_pd(x, load_idx4(idx + i), 8);
         acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_loadu_pd(v + i), vx));
     }
     double sum = reduce_lanes(acc);
     for (std::size_t i = m; i < n; ++i) sum += v[i] * x[idx[i]];
     return sum;
+}
+
+static inline void dot_gather_pair_x86(const std::size_t* row_ptr,
+                                       const std::uint32_t* idx, const double* vx,
+                                       const double* vy, const double* px,
+                                       const double* py, std::size_t begin,
+                                       std::size_t end, double* ox, double* oy) {
+    for (std::size_t row = begin; row < end; ++row) {
+        const std::size_t k0 = row_ptr[row];
+        const std::size_t n = row_ptr[row + 1] - k0;
+        const std::uint32_t* j = idx + k0;
+        const double* ax = vx + k0;
+        const double* ay = vy + k0;
+        __m256d accx = _mm256_setzero_pd();
+        __m256d accy = _mm256_setzero_pd();
+        const std::size_t m = n & ~std::size_t{3};
+        for (std::size_t i = 0; i < m; i += 4) {
+            const __m256i vi = load_idx4(j + i);
+            accx = _mm256_add_pd(accx, _mm256_mul_pd(_mm256_loadu_pd(ax + i),
+                                                     _mm256_i64gather_pd(px, vi, 8)));
+            accy = _mm256_add_pd(accy, _mm256_mul_pd(_mm256_loadu_pd(ay + i),
+                                                     _mm256_i64gather_pd(py, vi, 8)));
+        }
+        double sx = reduce_lanes(accx);
+        double sy = reduce_lanes(accy);
+        for (std::size_t i = m; i < n; ++i) {
+            sx += ax[i] * px[j[i]];
+            sy += ay[i] * py[j[i]];
+        }
+        ox[row] = sx;
+        oy[row] = sy;
+    }
 }
 
 // --- 256-bit FFT butterfly passes -----------------------------------------

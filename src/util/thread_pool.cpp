@@ -179,15 +179,4 @@ void thread_pool::for_chunks(std::size_t n, std::size_t chunks, const chunk_fn& 
     if (j->error) std::rethrow_exception(j->error);
 }
 
-void parallel_invoke(const std::function<void()>& a, const std::function<void()>& b) {
-    thread_pool::instance().for_chunks(
-        2, 2, [&](std::size_t chunk, std::size_t, std::size_t) {
-            if (chunk == 0) {
-                a();
-            } else {
-                b();
-            }
-        });
-}
-
 } // namespace gpf

@@ -1,5 +1,5 @@
 // Shared worker pool and data-parallel helpers for the hot placement
-// kernels (SpMV, density stamping, FFT passes, concurrent axis solves).
+// kernels (SpMV, density stamping, FFT passes, the paired CG passes).
 //
 // Determinism contract: the *arithmetic schedule* of every helper depends
 // only on the problem size, never on the thread count. Threads only decide
@@ -98,11 +98,6 @@ void parallel_for_chunks(std::size_t n, F&& fn, std::size_t grain = 1) {
                         fn(begin, end);
                     });
 }
-
-/// Run a and b concurrently (e.g. the x- and y-axis CG solves); parallel
-/// helpers called inside either run inline.
-void parallel_invoke(const std::function<void()>& a,
-                     const std::function<void()>& b);
 
 /// Slab size of deterministic_sum: fixed so the reduction tree depends
 /// only on n.

@@ -5,7 +5,6 @@
 #include "linalg/cg_solver.hpp"
 #include "linalg/csr_matrix.hpp"
 #include "util/check.hpp"
-#include "util/logging.hpp"
 #include "util/prng.hpp"
 
 namespace gpf {
@@ -134,96 +133,83 @@ TEST(CgSolver, WarmStartConvergesFaster) {
     EXPECT_EQ(warm_res.iterations, 0u);
 }
 
-TEST(CgSolver, OperatorVariantMatchesMatrixVariant) {
-    const csr_matrix m = make_tridiagonal(50, 3.0, -1.0);
-    std::vector<double> rhs(50);
+TEST(CgSolver, PairedSolveMatchesSingleAxisSolves) {
+    // Two systems on one pattern (the x/y shape of the placement system):
+    // the lockstep paired solve must reproduce each solo solve bit for bit.
+    const csr_matrix mx = make_tridiagonal(50, 3.0, -1.0);
+    const csr_matrix my = make_tridiagonal(50, 2.5, -0.75);
+    std::vector<double> bx(50), by(50);
     prng rng(23);
-    for (double& v : rhs) v = rng.next_range(-1.0, 1.0);
+    for (double& v : bx) v = rng.next_range(-1.0, 1.0);
+    for (double& v : by) v = rng.next_range(-1.0, 1.0);
 
-    std::vector<double> x_matrix;
-    cg_solve(m, rhs, x_matrix);
+    std::vector<double> x_solo, y_solo;
+    const cg_result rx_solo = cg_solve(mx, bx, x_solo);
+    const cg_result ry_solo = cg_solve(my, by, y_solo);
 
-    const linear_operator apply = [&](const std::vector<double>& x,
-                                      std::vector<double>& y) { m.multiply(x, y); };
-    std::vector<double> x_op;
-    const cg_result res = cg_solve_operator(apply, m.diagonal(), rhs, x_op);
-    ASSERT_TRUE(res.converged);
-    for (std::size_t i = 0; i < 50; ++i) EXPECT_NEAR(x_op[i], x_matrix[i], 1e-6);
+    const std::vector<double> dx = mx.diagonal();
+    const std::vector<double> dy = my.diagonal();
+    std::vector<double> x, y;
+    const auto [rx, ry] = cg_solve_pair(mx.pattern(), {mx.values(), {}, dx, bx, x},
+                                        {my.values(), {}, dy, by, y});
+    ASSERT_TRUE(rx.converged && ry.converged);
+    EXPECT_EQ(rx.iterations, rx_solo.iterations);
+    EXPECT_EQ(ry.iterations, ry_solo.iterations);
+    EXPECT_EQ(x, x_solo);
+    EXPECT_EQ(y, y_solo);
 }
 
 TEST(CgSolver, OperatorWithDiagonalShift) {
-    // (A + wI) x = b solved via the operator interface — the anchored
-    // system used by the GORDIAN baseline.
+    // (A + wI) x = b via the axis shift — the anchored system used by the
+    // GORDIAN baseline — with the y axis shifted on a row prefix only.
     const csr_matrix m = make_tridiagonal(30, 2.0, -1.0);
     const double w = 0.7;
-    std::vector<double> diag = m.diagonal();
-    for (double& d : diag) d += w;
-    const linear_operator apply = [&](const std::vector<double>& x,
-                                      std::vector<double>& y) {
-        m.multiply(x, y);
-        for (std::size_t i = 0; i < x.size(); ++i) y[i] += w * x[i];
-    };
-    std::vector<double> rhs(30, 1.0);
-    std::vector<double> x;
-    const cg_result res = cg_solve_operator(apply, diag, rhs, x);
-    ASSERT_TRUE(res.converged);
-    // Verify residual directly.
-    std::vector<double> ax;
-    apply(x, ax);
-    for (std::size_t i = 0; i < 30; ++i) EXPECT_NEAR(ax[i], rhs[i], 1e-6);
+    const std::vector<double> shift_x(30, w), shift_y(12, w);
+    std::vector<double> diag_x = m.diagonal(), diag_y = m.diagonal();
+    for (double& d : diag_x) d += w;
+    for (std::size_t i = 0; i < shift_y.size(); ++i) diag_y[i] += w;
+    const std::vector<double> rhs(30, 1.0);
+    std::vector<double> x, y;
+    const auto [rx, ry] = cg_solve_pair(m.pattern(), {m.values(), shift_x, diag_x, rhs, x},
+                                        {m.values(), shift_y, diag_y, rhs, y});
+    ASSERT_TRUE(rx.converged && ry.converged);
+    // Verify residuals directly.
+    std::vector<double> ax, ay;
+    m.multiply(x, ax);
+    m.multiply(y, ay);
+    for (std::size_t i = 0; i < 30; ++i) {
+        EXPECT_NEAR(ax[i] + w * x[i], rhs[i], 1e-6);
+        EXPECT_NEAR(ay[i] + (i < shift_y.size() ? w * y[i] : 0.0), rhs[i], 1e-6);
+    }
 }
 
-TEST(CgSolver, OperatorSsorFallbackWarnsOnceAndMatchesJacobi) {
-    // Requesting SSOR behind the opaque-operator interface downgrades to
-    // Jacobi with a warning. Regression-pins the contract: the warning
-    // fires exactly once per process (not per solve, not zero times), and
-    // the downgrade really is Jacobi — the solution is bitwise identical
-    // to an explicit jacobi-preconditioned solve.
+TEST(CgSolver, SsorOnShiftedSystemConvergesToJacobiSolution) {
+    // SSOR sweeps the shifted system with D = diag(A) + s: a different
+    // iteration from Jacobi, but the same solution within tolerance.
     const csr_matrix m = make_tridiagonal(60, 3.0, -1.0);
     std::vector<double> rhs(60);
     prng rng(77);
     for (double& v : rhs) v = rng.next_range(-1.0, 1.0);
-    const linear_operator apply = [&](const std::vector<double>& x,
-                                      std::vector<double>& y) { m.multiply(x, y); };
-    const std::vector<double> diag = m.diagonal();
-
-    reset_cg_operator_ssor_warning();
-    std::vector<std::string> warnings;
-    set_log_sink([&](log_level level, const std::string& message) {
-        if (level == log_level::warning) warnings.push_back(message);
-    });
-
-    cg_options ssor;
-    ssor.preconditioner = preconditioner_kind::ssor;
-    std::vector<double> x_first, x_second;
-    ASSERT_TRUE(cg_solve_operator(apply, diag, rhs, x_first, ssor).converged);
-    ASSERT_TRUE(cg_solve_operator(apply, diag, rhs, x_second, ssor).converged);
-    set_log_sink(nullptr);
-
-    ASSERT_EQ(warnings.size(), 1u) << "warning must fire exactly once";
-    EXPECT_NE(warnings[0].find("ssor"), std::string::npos) << warnings[0];
-    EXPECT_NE(warnings[0].find("jacobi"), std::string::npos) << warnings[0];
-
-    cg_options jacobi;
-    jacobi.preconditioner = preconditioner_kind::jacobi;
-    std::vector<double> x_jacobi;
-    ASSERT_TRUE(cg_solve_operator(apply, diag, rhs, x_jacobi, jacobi).converged);
-    ASSERT_EQ(x_first.size(), x_jacobi.size());
-    for (std::size_t i = 0; i < x_jacobi.size(); ++i) {
-        EXPECT_EQ(x_first[i], x_jacobi[i]) << i; // bitwise: same math path
-        EXPECT_EQ(x_second[i], x_jacobi[i]) << i;
+    std::vector<double> shift(60), diag = m.diagonal();
+    for (std::size_t i = 0; i < 60; ++i) {
+        shift[i] = rng.next_range(0.1, 2.0);
+        diag[i] += shift[i];
     }
 
-    // The reset hook re-arms it — a second process-lifetime can be simulated.
-    reset_cg_operator_ssor_warning();
-    warnings.clear();
-    set_log_sink([&](log_level level, const std::string& message) {
-        if (level == log_level::warning) warnings.push_back(message);
-    });
-    std::vector<double> x_again;
-    ASSERT_TRUE(cg_solve_operator(apply, diag, rhs, x_again, ssor).converged);
-    set_log_sink(nullptr);
-    EXPECT_EQ(warnings.size(), 1u);
+    const auto solve = [&](preconditioner_kind kind, std::vector<double>& x,
+                           std::vector<double>& y) {
+        cg_options opt;
+        opt.preconditioner = kind;
+        opt.tolerance = 1e-12;
+        return cg_solve_pair(m.pattern(), {m.values(), shift, diag, rhs, x},
+                             {m.values(), shift, diag, rhs, y}, opt);
+    };
+    std::vector<double> x_ssor, y_ssor, x_jacobi, y_jacobi;
+    const auto [sx, sy] = solve(preconditioner_kind::ssor, x_ssor, y_ssor);
+    const auto [jx, jy] = solve(preconditioner_kind::jacobi, x_jacobi, y_jacobi);
+    ASSERT_TRUE(sx.converged && sy.converged && jx.converged && jy.converged);
+    EXPECT_EQ(x_ssor, y_ssor); // both axes run the same sweep
+    for (std::size_t i = 0; i < 60; ++i) EXPECT_NEAR(x_ssor[i], x_jacobi[i], 1e-9) << i;
 }
 
 TEST(VectorHelpers, DotNormAxpy) {

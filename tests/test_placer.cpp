@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "core/metrics.hpp"
 #include "core/placer.hpp"
 #include "density/empty_square.hpp"
 #include "netlist/generator.hpp"
+#include "util/logging.hpp"
 #include "util/prng.hpp"
 
 namespace gpf {
@@ -50,6 +52,36 @@ TEST(Placer, HistoryTracksIterations) {
         EXPECT_EQ(p.history()[i].iteration, i);
         EXPECT_GT(p.history()[i].hpwl, 0.0);
     }
+}
+
+TEST(Placer, FinishLogNamesTheStopCause) {
+    // min_iterations above the cap keeps the spread criterion out, so the
+    // run ends on the cap or — with a plateau window of one and a
+    // tolerance no overflow can beat — on the plateau.
+    const netlist nl = medium_circuit();
+    const auto finish_line = [&](std::size_t plateau_window) {
+        placer_options opt;
+        opt.density_bins = 1024;
+        opt.max_iterations = 4;
+        opt.min_iterations = 100;
+        opt.plateau_window = plateau_window;
+        opt.plateau_tolerance = 1.0;
+        std::string line;
+        const log_level prev = get_log_level();
+        set_log_level(log_level::info);
+        set_log_sink([&](log_level, const std::string& msg) {
+            if (msg.find("placer finished") != std::string::npos) line = msg;
+        });
+        placer p(nl, opt);
+        p.run();
+        set_log_sink(nullptr);
+        set_log_level(prev);
+        return line;
+    };
+    const std::string cap = finish_line(0);
+    EXPECT_NE(cap.find("(iteration cap)"), std::string::npos) << cap;
+    const std::string plateau = finish_line(1);
+    EXPECT_NE(plateau.find("(overflow plateau)"), std::string::npos) << plateau;
 }
 
 TEST(Placer, StepCallbackCanStopEarly) {

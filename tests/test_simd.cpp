@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <complex>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -37,6 +38,7 @@ TEST(Simd, ScalarTableAlwaysAvailableAndComplete) {
     EXPECT_NE(table->scale, nullptr);
     EXPECT_NE(table->dot, nullptr);
     EXPECT_NE(table->dot_gather, nullptr);
+    EXPECT_NE(table->dot_gather_pair, nullptr);
     EXPECT_NE(table->add_scalar, nullptr);
     EXPECT_NE(table->cmul, nullptr);
     EXPECT_NE(table->cmul_pair, nullptr);
@@ -94,6 +96,7 @@ TEST(Simd, Avx512TableCompleteWhenAvailable) {
     EXPECT_NE(table->scale, nullptr);
     EXPECT_NE(table->dot, nullptr);
     EXPECT_NE(table->dot_gather, nullptr);
+    EXPECT_NE(table->dot_gather_pair, nullptr);
     EXPECT_NE(table->add_scalar, nullptr);
     EXPECT_NE(table->cmul, nullptr);
     EXPECT_NE(table->cmul_pair, nullptr);
@@ -176,12 +179,14 @@ TEST(Simd, ElementwiseKernelsMatchLoops) {
 TEST(Simd, ReductionsUseFixedLaneOrder) {
     prng rng(13);
     const std::size_t n = 517;
-    std::vector<double> a(n), b(n);
-    std::vector<std::size_t> idx(n);
+    std::vector<double> a(n), b(n), c(n), d(n);
+    std::vector<std::uint32_t> idx(n);
     for (std::size_t i = 0; i < n; ++i) {
         a[i] = rng.next_range(-1.0, 1.0);
         b[i] = rng.next_range(-1.0, 1.0);
-        idx[i] = rng.next_below(n);
+        c[i] = rng.next_range(-1.0, 1.0);
+        d[i] = rng.next_range(-1.0, 1.0);
+        idx[i] = static_cast<std::uint32_t>(rng.next_below(n));
     }
 
     // The documented reduction shape: 4 logical lanes over the 4-aligned
@@ -209,6 +214,16 @@ TEST(Simd, ReductionsUseFixedLaneOrder) {
         reference([&](std::size_t i) { return a[i] * b[idx[i]]; });
     const double got_gather = simd().dot_gather(a.data(), idx.data(), b.data(), n);
     EXPECT_EQ(std::memcmp(&got_gather, &want_gather, sizeof(double)), 0);
+
+    // The paired row product: each axis is exactly its own dot_gather.
+    const double want_pair_y =
+        reference([&](std::size_t i) { return c[i] * d[idx[i]]; });
+    const std::size_t row_ptr[] = {0, n}; // one row over all n entries
+    double got_pair_x = 0.0, got_pair_y = 0.0;
+    simd().dot_gather_pair(row_ptr, idx.data(), a.data(), c.data(), b.data(), d.data(),
+                           0, 1, &got_pair_x, &got_pair_y);
+    EXPECT_EQ(std::memcmp(&got_pair_x, &want_gather, sizeof(double)), 0);
+    EXPECT_EQ(std::memcmp(&got_pair_y, &want_pair_y, sizeof(double)), 0);
 }
 
 TEST(Simd, ComplexMultiplyMatchesExplicitForm) {

@@ -17,10 +17,12 @@
 // kernel table to compare against.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -263,6 +265,65 @@ TEST_F(SimdEquivalence, CgSolveBitwiseAcrossIsaAndThreads) {
                     << simd_isa_name(isa) << " threads=" << threads;
                 EXPECT_EQ(result.iterations, ref_result.iterations);
             }
+        }
+    }
+}
+
+TEST_F(SimdEquivalence, DotGatherPairBitwiseAcrossIsa) {
+    // The paired CSR row products of the lockstep x/y CG solve: on every
+    // tier, each row of each axis must equal the scalar reference — and
+    // the single-axis dot_gather of the same row — bit for bit, for every
+    // row length (empty, tail only, vector body, both) and a row block
+    // that starts mid-pattern.
+    const std::uint64_t seeds = seed_count();
+    for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
+        SCOPED_TRACE("seed=" + std::to_string(seed));
+        prng rng(seed * 613 + 29);
+        const std::size_t n = 600;
+        std::vector<double> px(n), py(n);
+        for (double& v : px) v = rng.next_range(-2.0, 2.0);
+        for (double& v : py) v = rng.next_range(-2.0, 2.0);
+        constexpr std::size_t rows = 38; // row r has r entries
+        std::vector<std::size_t> row_ptr{0};
+        std::vector<double> vx, vy;
+        std::vector<std::uint32_t> idx;
+        for (std::size_t r = 0; r < rows; ++r) {
+            for (std::size_t k = 0; k < r; ++k) {
+                vx.push_back(rng.next_range(-1.0, 1.0));
+                vy.push_back(rng.next_range(-1.0, 1.0));
+                idx.push_back(static_cast<std::uint32_t>(rng.next_below(n)));
+            }
+            row_ptr.push_back(idx.size());
+        }
+        const std::size_t begin = 3; // untouched rows below begin stay NaN
+        const auto run = [&](const simd_kernels& kern, std::vector<double>& ox,
+                             std::vector<double>& oy) {
+            ox.assign(rows, std::numeric_limits<double>::quiet_NaN());
+            oy.assign(rows, std::numeric_limits<double>::quiet_NaN());
+            kern.dot_gather_pair(row_ptr.data(), idx.data(), vx.data(), vy.data(),
+                                 px.data(), py.data(), begin, rows, ox.data(), oy.data());
+        };
+        std::vector<double> want_x, want_y;
+        run(*simd_kernels_for(simd_isa::scalar), want_x, want_y);
+        for (const simd_isa isa : available_isas()) {
+            const simd_kernels& kern = *simd_kernels_for(isa);
+            std::vector<double> got_x, got_y;
+            run(kern, got_x, got_y);
+            bool ok = bitwise_equal(got_x, want_x) && bitwise_equal(got_y, want_y);
+            for (std::size_t r = begin; r < rows; ++r) {
+                const std::size_t k0 = row_ptr[r], len = row_ptr[r + 1] - k0;
+                const double solo_x =
+                    kern.dot_gather(vx.data() + k0, idx.data() + k0, px.data(), len);
+                const double solo_y =
+                    kern.dot_gather(vy.data() + k0, idx.data() + k0, py.data(), len);
+                ok = ok && std::memcmp(&solo_x, &got_x[r], sizeof(double)) == 0 &&
+                     std::memcmp(&solo_y, &got_y[r], sizeof(double)) == 0;
+            }
+            for (std::size_t r = 0; r < begin; ++r) {
+                ok = ok && std::isnan(got_x[r]) && std::isnan(got_y[r]);
+            }
+            if (!ok) log_failing_seed("simd_dot_gather_pair_bitwise", seed);
+            ASSERT_TRUE(ok) << simd_isa_name(isa);
         }
     }
 }

@@ -123,20 +123,6 @@ TEST(ThreadPool, NestedCallsRunInlineAndComplete) {
     EXPECT_FALSE(thread_pool::in_parallel_region());
 }
 
-TEST(ThreadPool, ParallelInvokeRunsBothTasks) {
-    scoped_threads guard(2);
-    int a = 0, b = 0;
-    parallel_invoke([&] { a = 1; }, [&] { b = 2; });
-    EXPECT_EQ(a, 1);
-    EXPECT_EQ(b, 2);
-}
-
-TEST(ThreadPool, ParallelInvokePropagatesExceptions) {
-    scoped_threads guard(2);
-    EXPECT_THROW(parallel_invoke([] { throw std::logic_error("invoke"); }, [] {}),
-                 std::logic_error);
-}
-
 TEST(ThreadPool, DeterministicSumMatchesAcrossThreadCounts) {
     // The reduction tree depends only on n, so any two pool sizes must
     // produce the same bits — including sizes larger than the range.

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "gpf.hpp"
@@ -226,6 +227,43 @@ TEST(TransformCache, ProfilerCollectsPhaseSamples) {
     EXPECT_GT(prof.calls(profile_phase::spread_check), 0u);
     EXPECT_GT(prof.total_cg_x() + prof.total_cg_y(), 0u);
     EXPECT_FALSE(prof.summary().empty());
+
+    prof.reset();
+    prof.set_enabled(was_enabled);
+}
+
+TEST(TransformCache, ProfilerSplitsCgIterationsByKind) {
+    profiler& prof = profiler::instance();
+    const bool was_enabled = prof.enabled();
+    prof.set_enabled(true);
+    prof.reset();
+
+    const netlist nl = test_circuit(200, 99);
+    placer_options opt;
+    opt.max_iterations = 3;
+    opt.min_iterations = 3;
+    opt.wire_relax_interval = 1;
+    placer p(nl, opt);
+    p.run();
+
+    // Every transformation re-assembles once more for its wire
+    // relaxation, booked to the assemble phase rather than wire_relax.
+    EXPECT_EQ(prof.calls(profile_phase::wire_relax), prof.transforms());
+    EXPECT_EQ(prof.calls(profile_phase::assemble), 2 * prof.transforms());
+    const std::size_t solve = prof.total_cg(profile_phase::solve);
+    const std::size_t relax = prof.total_cg(profile_phase::wire_relax);
+    EXPECT_GT(solve, 0u);
+    EXPECT_GT(relax, 0u);
+    EXPECT_EQ(solve + relax, prof.total_cg_x() + prof.total_cg_y());
+
+    // Kernels without a flop model report time only, never "0.00 GFLOP/s".
+    const std::string summary = prof.summary();
+    EXPECT_NE(summary.find("wire-relax " + std::to_string(relax)), std::string::npos)
+        << summary;
+    const std::size_t stamp = summary.find("kernel stamp");
+    ASSERT_NE(stamp, std::string::npos) << summary;
+    const std::string stamp_line = summary.substr(stamp, summary.find('\n', stamp) - stamp);
+    EXPECT_EQ(stamp_line.find("GFLOP"), std::string::npos) << stamp_line;
 
     prof.reset();
     prof.set_enabled(was_enabled);

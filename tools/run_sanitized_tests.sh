@@ -5,7 +5,7 @@
 #
 # Defaults to ThreadSanitizer with GPF_THREADS=4 — the configuration that
 # exercises the parallel kernels (SpMV, density stamping, FFT passes,
-# concurrent axis solves) for data races. The build lands in
+# the paired x/y CG passes) for data races. The build lands in
 # build-<san>san/ so it never disturbs the regular build tree.
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <map>
 #include <vector>
 
 #include "gpf.hpp"
@@ -134,15 +135,48 @@ void bm_tetris_legalize(benchmark::State& state) {
 }
 BENCHMARK(bm_tetris_legalize)->Arg(1000)->Arg(4000);
 
+/// A generated design and its default global placement, made once per
+/// size and shared by the legalization benchmarks.
+struct placed_design {
+    netlist nl;
+    placement global;
+};
+
+const placed_design& placed_circuit(std::size_t cells) {
+    static std::map<std::size_t, placed_design> cache;
+    auto it = cache.find(cells);
+    if (it == cache.end()) {
+        it = cache.emplace(cells, placed_design{make_circuit(cells), {}}).first;
+        placer p(it->second.nl, {});
+        it->second.global = p.run();
+    }
+    return it->second;
+}
+
 void bm_abacus_legalize(benchmark::State& state) {
-    const netlist nl = make_circuit(static_cast<std::size_t>(state.range(0)));
-    placer p(nl, {});
-    const placement global = p.run();
+    const placed_design& d = placed_circuit(static_cast<std::size_t>(state.range(0)));
     for (auto _ : state) {
-        benchmark::DoNotOptimize(abacus_legalize(nl, global));
+        benchmark::DoNotOptimize(abacus_legalize(d.nl, d.global));
     }
 }
-BENCHMARK(bm_abacus_legalize)->Arg(1000)->Arg(4000);
+BENCHMARK(bm_abacus_legalize)->Arg(1000)->Arg(4000)->Arg(20000)->Unit(benchmark::kMillisecond);
+
+/// Detailed refinement of the Abacus-legal placement (the copy it starts
+/// from is part of each iteration; it is small beside the refinement).
+void bm_refine_detailed(benchmark::State& state) {
+    const placed_design& d = placed_circuit(static_cast<std::size_t>(state.range(0)));
+    const placement legal = abacus_legalize(d.nl, d.global);
+    std::size_t moves = 0;
+    for (auto _ : state) {
+        placement pl = legal;
+        const refine_result r = refine_detailed(d.nl, pl);
+        moves = r.swaps + r.relocations;
+        benchmark::DoNotOptimize(pl.data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["moves"] = static_cast<double>(moves);
+}
+BENCHMARK(bm_refine_detailed)->Arg(4000)->Arg(20000)->Unit(benchmark::kMillisecond);
 
 void bm_sta(benchmark::State& state) {
     const netlist nl = make_circuit(static_cast<std::size_t>(state.range(0)));

@@ -33,52 +33,60 @@ struct segment_state {
     std::vector<seg_cluster> clusters;
 };
 
-/// Collapse the last cluster: clamp into the segment and merge backwards
-/// while it overlaps its predecessor (the classic Abacus recursion).
-void collapse(segment_state& seg) {
-    for (;;) {
-        seg_cluster& c = seg.clusters.back();
-        c.x = std::clamp(c.q / c.e, seg.xlo, seg.xhi - c.w);
-        if (seg.clusters.size() < 2) return;
-        seg_cluster& prev = seg.clusters[seg.clusters.size() - 2];
-        if (prev.x + prev.w <= c.x) return;
-        // Merge c into prev.
-        prev.q += c.q - c.e * prev.w;
-        prev.e += c.e;
-        prev.w += c.w;
-        seg.clusters.pop_back();
-    }
+/// Where appending a cell at the right end of a segment (cells arrive in x
+/// order) leaves its cluster stack: clusters [0, keep) are untouched and
+/// `tail` replaces the rest. The classic Abacus collapse only ever merges
+/// the last cluster into its predecessor, so the trial reads the stack
+/// without copying it; commit() then applies the result.
+struct tail_insertion {
+    seg_cluster tail;
+    std::size_t keep = 0;
+    double center = 0.0; ///< final center x of the appended cell
+};
+
+/// Merge cluster `c` into its predecessor `prev`.
+void merge_into(seg_cluster& prev, const seg_cluster& c) {
+    prev.q += c.q - c.e * prev.w;
+    prev.e += c.e;
+    prev.w += c.w;
 }
 
-/// Append a cell (always at the right end — cells arrive in x order) and
-/// return its final center x.
-double append_cell(segment_state& seg, const seg_cell& c) {
+tail_insertion insert_at_tail(const segment_state& seg, const seg_cell& c) {
+    tail_insertion t;
+    t.tail.e = c.weight;
+    t.tail.q = c.weight * c.target;
+    t.tail.w = c.width;
+    t.tail.x = c.target;
+    t.tail.first = seg.cells.size();
+    t.keep = seg.clusters.size();
+    // Overlapping the last cluster: merge with it immediately.
+    if (t.keep > 0 &&
+        seg.clusters[t.keep - 1].x + seg.clusters[t.keep - 1].w > c.target) {
+        seg_cluster prev = seg.clusters[--t.keep];
+        merge_into(prev, t.tail);
+        t.tail = prev;
+    }
+    // Clamp into the segment and merge backwards while the tail overlaps
+    // its predecessor.
+    for (;;) {
+        t.tail.x = std::clamp(t.tail.q / t.tail.e, seg.xlo, seg.xhi - t.tail.w);
+        if (t.keep == 0) break;
+        seg_cluster prev = seg.clusters[t.keep - 1];
+        if (prev.x + prev.w <= t.tail.x) break;
+        merge_into(prev, t.tail);
+        t.tail = prev;
+        --t.keep;
+    }
+    // The appended cell is the last one of the tail cluster.
+    t.center = t.tail.x + t.tail.w - c.width + c.width / 2;
+    return t;
+}
+
+void commit(segment_state& seg, const seg_cell& c, const tail_insertion& t) {
     seg.cells.push_back(c);
     seg.used += c.width;
-    seg_cluster nc;
-    nc.e = c.weight;
-    nc.q = c.weight * c.target;
-    nc.w = c.width;
-    nc.x = c.target;
-    nc.first = seg.cells.size() - 1;
-    const bool overlaps = !seg.clusters.empty() &&
-                          seg.clusters.back().x + seg.clusters.back().w > c.target;
-    seg.clusters.push_back(nc);
-    if (overlaps) {
-        // Immediately merge with the predecessor.
-        seg_cluster last = seg.clusters.back();
-        seg.clusters.pop_back();
-        seg_cluster& prev = seg.clusters.back();
-        prev.q += last.q - last.e * prev.w;
-        prev.e += last.e;
-        prev.w += last.w;
-    }
-    collapse(seg);
-
-    // Final center of the appended cell: offset within its cluster is the
-    // cluster width minus the cell width.
-    const seg_cluster& cl = seg.clusters.back();
-    return cl.x + cl.w - c.width + c.width / 2;
+    seg.clusters.resize(t.keep);
+    seg.clusters.push_back(t.tail);
 }
 
 } // namespace
@@ -120,6 +128,7 @@ placement abacus_legalize(const netlist& nl, const placement& global,
         double best_cost = std::numeric_limits<double>::infinity();
         std::size_t best_row = 0;
         std::size_t best_seg = 0;
+        tail_insertion best;
 
         for (std::size_t dist = 0; dist < rows.num_rows(); ++dist) {
             if (dist > options.row_search_span &&
@@ -135,22 +144,16 @@ placement abacus_legalize(const netlist& nl, const placement& global,
                 const double dy = rows.row_center(r) - global[id].y;
                 if (dy * dy >= best_cost) continue;
                 for (std::size_t s = 0; s < state[r].size(); ++s) {
-                    segment_state& seg = state[r][s];
+                    const segment_state& seg = state[r][s];
                     if (seg.used + c.width > seg.xhi - seg.xlo) continue;
-                    // Trial insertion on a cluster copy (cells untouched).
-                    segment_state trial;
-                    trial.xlo = seg.xlo;
-                    trial.xhi = seg.xhi;
-                    trial.used = seg.used;
-                    trial.clusters = seg.clusters;
-                    trial.cells.reserve(1);
-                    const double cx = append_cell(trial, sc);
-                    const double dx = cx - global[id].x;
+                    const tail_insertion trial = insert_at_tail(seg, sc);
+                    const double dx = trial.center - global[id].x;
                     const double cost = dx * dx + dy * dy;
                     if (cost < best_cost) {
                         best_cost = cost;
                         best_row = r;
                         best_seg = s;
+                        best = trial;
                     }
                 }
             }
@@ -159,22 +162,20 @@ placement abacus_legalize(const netlist& nl, const placement& global,
         GPF_CHECK_MSG(best_cost < std::numeric_limits<double>::infinity(),
                       "abacus legalizer ran out of row capacity for cell "
                           << nl.cell_at(id).name);
-        append_cell(state[best_row][best_seg], sc);
+        commit(state[best_row][best_seg], sc, best);
         out[id].y = rows.row_center(best_row);
     }
 
-    // Realize final x positions from the cluster structures.
+    // Realize final x positions: each cluster's cells run from its first
+    // up to the next cluster's first (or the end of the segment).
     for (std::size_t r = 0; r < rows.num_rows(); ++r) {
         for (const segment_state& seg : state[r]) {
-            for (const seg_cluster& cl : seg.clusters) {
-                double x = cl.x;
-                // Cells of this cluster: from cl.first up to the next
-                // cluster's first (or end).
-                std::size_t end = seg.cells.size();
-                for (const seg_cluster& other : seg.clusters) {
-                    if (other.first > cl.first) end = std::min(end, other.first);
-                }
-                for (std::size_t i = cl.first; i < end; ++i) {
+            for (std::size_t k = 0; k < seg.clusters.size(); ++k) {
+                const std::size_t end = k + 1 < seg.clusters.size()
+                                            ? seg.clusters[k + 1].first
+                                            : seg.cells.size();
+                double x = seg.clusters[k].x;
+                for (std::size_t i = seg.clusters[k].first; i < end; ++i) {
                     const seg_cell& sc = seg.cells[i];
                     out[sc.id].x = x + sc.width / 2;
                     x += sc.width;

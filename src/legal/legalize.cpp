@@ -4,6 +4,7 @@
 
 #include "core/metrics.hpp"
 #include "util/check.hpp"
+#include "util/stopwatch.hpp"
 #include "verify/verify.hpp"
 
 namespace gpf {
@@ -24,6 +25,7 @@ legalize_result legalize(const netlist& nl, const placement& global, placement& 
     legalize_result result;
     result.hpwl_global = total_hpwl(nl, global);
 
+    stopwatch sw;
     placement work = global;
     result.blocks = legalize_blocks(nl, work, options.blocks);
 
@@ -40,9 +42,12 @@ legalize_result legalize(const netlist& nl, const placement& global, placement& 
     // overlap-free, fixed cells untouched. refine_detailed() re-checks its
     // own output, so together every stage boundary is covered.
     checkpoint_legal_placement(nl, work, "legalize (row legalization)");
+    result.row_seconds = sw.elapsed_seconds();
 
     if (options.run_refinement) {
+        sw.reset();
         result.refine = refine_detailed(nl, work, options.refine);
+        result.refine_seconds = sw.elapsed_seconds();
     }
     result.hpwl_refined = total_hpwl(nl, work);
 

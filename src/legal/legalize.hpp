@@ -27,6 +27,8 @@ struct legalize_result {
     double hpwl_global = 0.0;  ///< HPWL of the input global placement
     double hpwl_legal = 0.0;   ///< after row legalization
     double hpwl_refined = 0.0; ///< after detailed refinement
+    double row_seconds = 0.0;    ///< wall time of block + row legalization
+    double refine_seconds = 0.0; ///< wall time of detailed refinement
     refine_result refine;
     block_legalize_result blocks;
 };

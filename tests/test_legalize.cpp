@@ -6,6 +6,7 @@
 #include "core/placer.hpp"
 #include "legal/legalize.hpp"
 #include "util/check.hpp"
+#include "util/stopwatch.hpp"
 #include "netlist/generator.hpp"
 
 namespace gpf {
@@ -143,6 +144,23 @@ TEST(Legalize, FullPipelineEndsOverlapFree) {
     legalize(nl, global, legal);
     EXPECT_NEAR(total_overlap_area(nl, legal), 0.0, 1e-6);
     EXPECT_TRUE(is_row_legal(nl, legal));
+}
+
+TEST(Legalize, ReportsLayerSecondsWithinCallerWallTime) {
+    const netlist nl = circuit_for_legalization();
+    placer p(nl, {});
+    const placement global = p.run();
+    placement legal;
+    const stopwatch sw;
+    const legalize_result res = legalize(nl, global, legal);
+    const double wall = sw.elapsed_seconds();
+    EXPECT_GE(res.row_seconds, 0.0);
+    EXPECT_GE(res.refine_seconds, 0.0);
+    EXPECT_LE(res.row_seconds + res.refine_seconds, wall);
+
+    legalize_options no_refine;
+    no_refine.run_refinement = false;
+    EXPECT_EQ(legalize(nl, global, legal, no_refine).refine_seconds, 0.0);
 }
 
 TEST(Legalize, MixedDesignSeparatesBlocks) {

@@ -474,8 +474,10 @@ int main(int argc, char** argv) {
                                                    : gpf::row_legalizer::abacus;
         gpf::placement legal;
         const gpf::legalize_result lr = gpf::legalize(nl, global, legal, lopt);
-        std::printf("legalized HPWL %.1f (refined %.1f) in %.2fs total\n",
-                    lr.hpwl_legal, lr.hpwl_refined, sw.elapsed_seconds());
+        std::printf("legalized HPWL %.1f (refined %.1f): rows %.2fs, refine %.2fs; "
+                    "run wall time %.2fs\n",
+                    lr.hpwl_legal, lr.hpwl_refined, lr.row_seconds, lr.refine_seconds,
+                    sw.elapsed_seconds());
 
         gpf::write_bookshelf(nl, legal, cli.out);
         gpf::write_placement_svg(nl, legal, cli.out + ".svg");

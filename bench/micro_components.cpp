@@ -78,7 +78,18 @@ void bm_system_assemble(benchmark::State& state) {
         benchmark::DoNotOptimize(sys.values_x().data());
     }
 }
-BENCHMARK(bm_system_assemble)->Arg(1000)->Arg(4000);
+BENCHMARK(bm_system_assemble)->Arg(1000)->Arg(4000)->Arg(20000);
+
+/// The constructor alone: edge collection, the row incidence index and the
+/// CSR pattern derived from it (paid once per placer and per V-cycle level).
+void bm_system_build(benchmark::State& state) {
+    const netlist nl = make_circuit(static_cast<std::size_t>(state.range(0)));
+    for (auto _ : state) {
+        const quadratic_system sys(nl);
+        benchmark::DoNotOptimize(sys.pattern().col_idx.data());
+    }
+}
+BENCHMARK(bm_system_build)->Arg(20000)->Arg(50000)->Unit(benchmark::kMillisecond);
 
 /// The lockstep x/y CG core (cg_solve_pair) on an assembled placement
 /// system, cold-started each time: one shared-pattern solve of both axes.
@@ -260,6 +271,19 @@ void bm_cg_solve_threads(benchmark::State& state) {
     use_threads(1);
 }
 BENCHMARK(bm_cg_solve_threads)->Apply(thread_sweep);
+
+void bm_system_assemble_threads(benchmark::State& state) {
+    use_threads(state.range(0));
+    const netlist nl = make_circuit(20000);
+    const placement pl = nl.centered_placement();
+    quadratic_system sys(nl);
+    for (auto _ : state) {
+        sys.assemble(pl);
+        benchmark::DoNotOptimize(sys.values_x().data());
+    }
+    use_threads(1);
+}
+BENCHMARK(bm_system_assemble_threads)->Apply(thread_sweep);
 
 void bm_placement_transformation_threads(benchmark::State& state) {
     use_threads(state.range(0));

@@ -7,6 +7,7 @@
 
 #include "density/empty_square.hpp"
 #include "util/check.hpp"
+#include "util/thread_pool.hpp"
 
 namespace gpf {
 
@@ -19,8 +20,15 @@ double net_hpwl(const netlist& nl, const placement& pl, const net& n) {
 
 double total_hpwl(const netlist& nl, const placement& pl) {
     GPF_CHECK(pl.size() == nl.num_cells());
+    // Per-net HPWL in parallel, summed serially in net order: the bits of
+    // the serial loop for any thread count.
+    const auto& nets = nl.nets();
+    std::vector<double> per_net(nets.size());
+    parallel_for_chunks(nets.size(), [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) per_net[i] = net_hpwl(nl, pl, nets[i]);
+    }, 1024);
     double acc = 0.0;
-    for (const net& n : nl.nets()) acc += net_hpwl(nl, pl, n);
+    for (const double h : per_net) acc += h;
     return acc;
 }
 

@@ -5,6 +5,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <limits>
+#include <mutex>
 #include <optional>
 #include <sstream>
 #include <tuple>
@@ -221,6 +222,20 @@ placement placer::transform(const placement& current) {
         phase_timer timer(profile_phase::move_force);
         move_x_.assign(system_.num_vars(), 0.0);
         move_y_.assign(system_.num_vars(), 0.0);
+        // step(v) writes cell v's move and returns its magnitude. Cells
+        // run in parallel; the largest magnitude is exact in any order.
+        const auto move_force_loop = [&](const auto& step) {
+            std::mutex max_mutex;
+            double max_mag = 0.0;
+            parallel_for_chunks(system_.num_movable(), [&](std::size_t begin,
+                                                           std::size_t end) {
+                double local = 0.0;
+                for (std::size_t v = begin; v < end; ++v) local = std::max(local, step(v));
+                const std::lock_guard<std::mutex> lock(max_mutex);
+                max_mag = std::max(max_mag, local);
+            }, 2048);
+            return max_mag;
+        };
         if (options_.scaling == placer_options::force_scaling::paper_normalized) {
             // Literal eq. (5): one global k, strongest force = pull of a
             // net of length K(W+H).
@@ -229,12 +244,12 @@ placement placer::transform(const placement& current) {
             const double max_mag = field.max_magnitude();
             const double k = max_mag > 0.0 ? target / max_mag : 0.0;
             force_constant_ = k;
-            for (std::size_t v = 0; v < system_.num_movable(); ++v) {
+            max_increment = move_force_loop([&](std::size_t v) {
                 const point f = field.sample(current[system_.cell_of_var(v)]);
                 move_x_[v] = -k * f.x;
                 move_y_[v] = -k * f.y;
-                max_increment = std::max(max_increment, k * std::hypot(f.x, f.y));
-            }
+                return k * std::hypot(f.x, f.y);
+            });
         } else {
             // Local gain (DESIGN.md §5): each cell gets a *move spring*
             // pulling it to the target x̃ = x + u with u = K·f(x) clipped
@@ -247,7 +262,7 @@ placement placer::transform(const placement& current) {
             // the damping.
             const double max_step =
                 options_.max_step_fraction * (region.width() + region.height());
-            for (std::size_t v = 0; v < system_.num_movable(); ++v) {
+            max_increment = move_force_loop([&](std::size_t v) {
                 const point pos = current[system_.cell_of_var(v)];
                 const point f = field.sample(pos);
                 double ux = options_.force_scale_k * f.x;
@@ -261,8 +276,8 @@ placement placer::transform(const placement& current) {
                 // forces in the solve step.
                 move_x_[v] = ux;
                 move_y_[v] = uy;
-                max_increment = std::max(max_increment, mag);
-            }
+                return mag;
+            });
             force_constant_ = options_.force_scale_k;
         }
     }

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -44,13 +45,16 @@ public:
     /// Build A and b from the current placement (needed for linearization
     /// weights; ignored when options.linearize is false).
     ///
-    /// Assembly is split into a one-time *symbolic* phase — the CSR
-    /// sparsity pattern and the slot index of every edge contribution,
-    /// fixed by the netlist topology and computed in the constructor — and
-    /// a per-call *numeric* refill that accumulates the (live) linearized
-    /// weights straight into the cached pattern. No sorting, no
-    /// allocation: repeated calls are bitwise identical to assembling a
-    /// freshly constructed system (tests/test_transform_cache.cpp).
+    /// Assembly is split into a one-time *symbolic* phase — a row incidence
+    /// index (every variable's edges, in edge order) and the CSR pattern
+    /// derived from it, fixed by the netlist topology and built in the
+    /// constructor — and a per-call *numeric* refill. The refill computes
+    /// every edge's linearized weights in parallel, then builds each row
+    /// of A and b from its own incidence list, in parallel over rows. Every
+    /// slot sums the same addends in the same order as a serial edge-order
+    /// scatter, so the result is bitwise identical for any thread count
+    /// (DESIGN.md §6, tests/test_assembly_oracle.cpp). No sorting, no
+    /// allocation after the first call.
     void assemble(const placement& current);
 
     bool assembled() const { return assembled_; }
@@ -95,21 +99,38 @@ public:
     const net_model_options& options() const { return options_; }
 
 private:
+    /// Endpoint variable of a fixed edge end.
+    static constexpr std::uint32_t fixed_end = std::numeric_limits<std::uint32_t>::max();
+
+    /// One clique or star edge. Endpoint a is always movable; b is movable
+    /// or fixed_end. A movable endpoint stores its pin offset, a fixed one
+    /// its absolute pin position, so each end holds one (x, y).
     struct edge {
-        // Endpoint variable or fixed absolute coordinate.
-        std::size_t var_a; ///< invalid_var → fixed endpoint
-        std::size_t var_b;
-        double fixed_ax, fixed_ay; ///< absolute pin position when var_a fixed
-        double fixed_bx, fixed_by;
-        double off_ax, off_ay;     ///< pin offsets for movable endpoints
-        double off_bx, off_by;
-        double weight;             ///< base edge weight (before linearization)
+        std::uint32_t var_a;
+        std::uint32_t var_b;
         net_id source_net;
+        double ax, ay;
+        double bx, by;
+        double weight; ///< base edge weight (before linearization)
+    };
+
+    /// Role of an edge in one row of the incidence index.
+    enum edge_role : std::uint32_t {
+        role_end_a = 0, ///< row is var_a of a two-variable edge
+        role_end_b = 1, ///< row is var_b of a two-variable edge
+        role_single = 2, ///< row is var_a, b is fixed
+        role_self = 3,  ///< both pins on the row's cell (var_a == var_b)
+    };
+    /// One row entry: `key` = edge << 2 | role; `slot` is the value slot
+    /// of the off-diagonal (row, other end) for the end roles.
+    struct incidence {
+        std::uint32_t key;
+        std::uint32_t slot;
     };
 
     void collect_edges();
-    void add_edge_between_pins(const net& n, std::size_t pa, std::size_t pb,
-                               double weight, net_id ni);
+    void add_edge(std::size_t var_a, point pos_a, std::size_t var_b, point pos_b,
+                  double weight, net_id ni);
     void find_floating_variables();
     void build_symbolic();
     void compute_variable_positions(const placement& pl,
@@ -122,20 +143,22 @@ private:
     std::vector<net_id> star_net_of_var_; ///< for vars >= num_movable()
     std::size_t num_vars_ = 0;
     std::vector<edge> edges_;
+    /// Nets of degree >= 2 touching a movable cell, in net order: the
+    /// terms of the floating-component anchor's stiffness yardstick.
+    std::vector<net_id> stiffness_nets_;
 
     /// Variables in connected components with no fixed endpoint anywhere:
     /// they get a weak anchor to the region center, otherwise their
     /// position would be decided by solver round-off.
     std::vector<char> floating_;
 
-    /// Symbolic cache: slots into the shared x/y CSR pattern. For a
-    /// two-movable edge all four of {aa, bb, ab, ba} are valid; for a
-    /// single-movable edge only aa (the movable endpoint's diagonal).
-    struct edge_slots {
-        std::size_t aa, bb, ab, ba;
-    };
-    std::vector<edge_slots> edge_slots_; ///< parallel to edges_
+    /// Row incidence index: the entries of variable v are
+    /// incidence_[incidence_ptr_[v] .. incidence_ptr_[v + 1]), in edge order.
+    std::vector<std::size_t> incidence_ptr_;
+    std::vector<incidence> incidence_;
     std::vector<std::size_t> diag_slot_; ///< per variable, slot of (v, v)
+    /// assemble() workspace, four per edge: wx, wy, wx·dx, wy·dy.
+    std::vector<double> edge_terms_;
 
     csr_pattern pattern_;
     std::vector<double> ax_, ay_; ///< values over pattern_

@@ -10,6 +10,8 @@
 #include <sstream>
 #include <typeinfo>
 
+#include <unistd.h>
+
 #include "netlist/bookshelf.hpp"
 #include "netlist/generator.hpp"
 #include "util/check.hpp"
@@ -265,8 +267,10 @@ fuzz_result fuzz_bookshelf_io(const fuzz_options& opt) {
     namespace fs = std::filesystem;
     fuzz_result result;
 
+    // The default is pid-unique, so concurrent fuzzers never share files.
     fs::path dir = opt.work_dir.empty()
-                       ? fs::temp_directory_path() / "gpf_fuzz_io"
+                       ? fs::temp_directory_path() /
+                             ("gpf_fuzz_io_" + std::to_string(getpid()))
                        : fs::path(opt.work_dir);
     std::error_code ec;
     fs::create_directories(dir, ec);

@@ -27,8 +27,8 @@ struct fuzz_options {
     std::uint64_t seed = 1;
     std::size_t iterations = 1000;
     /// Scratch directory; empty = std::filesystem::temp_directory_path()
-    /// + "/gpf_fuzz_io". Created if missing, reused (and overwritten) if
-    /// present.
+    /// + "/gpf_fuzz_io_<pid>". Created if missing, reused (and overwritten)
+    /// if present.
     std::string work_dir;
     /// Stop at the first failure instead of completing all iterations.
     bool stop_on_failure = false;

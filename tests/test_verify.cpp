@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <limits>
 
 #include "core/placer.hpp"
@@ -10,6 +11,7 @@
 #include "util/check.hpp"
 #include "verify/fuzz.hpp"
 #include "verify/verify.hpp"
+#include "test_paths.hpp"
 
 namespace gpf {
 namespace {
@@ -232,6 +234,7 @@ TEST(VerifyFuzz, BookshelfIoSmoke) {
     fuzz_options opt;
     opt.iterations = 300;
     opt.seed = 42;
+    opt.work_dir = testing::unique_temp_base("gpf_fuzz_io");
     const fuzz_result result = fuzz_bookshelf_io(opt);
     EXPECT_EQ(result.iterations, 300u);
     EXPECT_TRUE(result.ok()) << result.failures.size() << " contract breaches; first: "
@@ -243,17 +246,20 @@ TEST(VerifyFuzz, BookshelfIoSmoke) {
     // The mutation engine must actually exercise both outcomes.
     EXPECT_GT(result.rejected, 0u);
     EXPECT_GT(result.accepted, 0u);
+    std::filesystem::remove_all(opt.work_dir);
 }
 
 TEST(VerifyFuzz, DeterministicForSameSeed) {
     fuzz_options opt;
     opt.iterations = 60;
     opt.seed = 7;
+    opt.work_dir = testing::unique_temp_base("gpf_fuzz_io");
     const fuzz_result a = fuzz_bookshelf_io(opt);
     const fuzz_result b = fuzz_bookshelf_io(opt);
     EXPECT_EQ(a.rejected, b.rejected);
     EXPECT_EQ(a.accepted, b.accepted);
     EXPECT_EQ(a.failures.size(), b.failures.size());
+    std::filesystem::remove_all(opt.work_dir);
 }
 
 } // namespace

@@ -238,12 +238,27 @@ void bm_density_forcefield_pipeline_cached_threads(benchmark::State& state) {
 BENCHMARK(bm_density_forcefield_pipeline_cached_threads)->Apply(thread_sweep)
     ->Unit(benchmark::kMillisecond);
 
+/// Movable cells scattered uniformly over the region, as after a few
+/// transformations (initial_placement() stacks them all at the center,
+/// where one row chunk would own every rect).
+placement spread_placement(const netlist& nl) {
+    placement pl = nl.centered_placement();
+    prng rng(7);
+    const rect r = nl.region();
+    for (cell_id i = 0; i < nl.num_cells(); ++i) {
+        if (nl.cell_at(i).fixed) continue;
+        pl[i] = point(rng.next_range(r.xlo, r.xhi), rng.next_range(r.ylo, r.yhi));
+    }
+    return pl;
+}
+
+/// One bulk stamp at the placer's size: 20k cells on its 4096-bin grid.
 void bm_density_stamping_threads(benchmark::State& state) {
     use_threads(state.range(0));
-    const netlist nl = make_circuit(8000);
-    const placement pl = nl.initial_placement();
+    const netlist nl = make_circuit(20000);
+    const placement pl = spread_placement(nl);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(compute_density_grid(nl, pl, 256, 256));
+        benchmark::DoNotOptimize(compute_density(nl, pl, 4096));
     }
     use_threads(1);
 }

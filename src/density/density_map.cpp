@@ -161,44 +161,79 @@ void density_map::add_rects(const std::vector<rect>& rects, double weight) {
     kernel_timer timer(profile_kernel::stamp);
 
     // Row-ownership decomposition: the grid's ix rows split into
-    // contiguous chunks, and every chunk walks ALL rects in index order,
-    // depositing only into the rows it owns. Each bin is written by
-    // exactly one chunk and accumulates its contributions in rect index
-    // order — the same order the serial loop uses — so the result is
-    // bitwise identical to repeated add_rect for every chunk count.
-    // Unlike a scratch-grid reduction (whose merge tree must be pinned
-    // to stay reproducible), the chunk count may therefore follow the
-    // thread count freely, and there are no scratch grids to allocate,
-    // zero, or merge: single-threaded bulk stamping is exactly the
-    // plain serial loop.
+    // contiguous chunks, and each chunk deposits, in rect index order, the
+    // rects that cover one of its rows — only into the rows it owns. Each
+    // bin is written by exactly one chunk and accumulates its
+    // contributions in rect index order — the same order the serial loop
+    // uses — so the result is bitwise identical to repeated add_rect for
+    // every chunk count. Unlike a scratch-grid reduction (whose merge tree
+    // must be pinned to stay reproducible), the chunk count may therefore
+    // follow the thread count freely, and there are no scratch grids to
+    // allocate, zero, or merge: single-threaded bulk stamping is exactly
+    // the plain serial loop.
     const std::size_t chunks =
         std::clamp<std::size_t>(thread_pool::instance().num_threads(), 1, nx_);
     if (chunks == 1) {
         for (const rect& r : rects) stamp(r, weight, demand_);
         return;
     }
-
-    // Precompute each rect's covered ix range once (the same x
-    // decomposition stamp_rows runs), so chunks skip non-overlapping
-    // rects with two comparisons instead of a full decompose.
-    std::vector<std::uint32_t> xlo(n), xhi(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        xlo[i] = 1;
-        xhi[i] = 0; // sentinel: no coverage
-        const rect clipped = intersect(rects[i], region_);
-        if (!(clipped.xlo < clipped.xhi) || !(clipped.ylo < clipped.yhi)) continue;
-        const axis_run xs =
-            decompose_axis(clipped.xlo, clipped.xhi, region_.xlo, bin_w_, nx_);
-        if (xs.empty) continue;
-        xlo[i] = static_cast<std::uint32_t>(xs.lo);
-        xhi[i] = static_cast<std::uint32_t>(xs.hi);
+    std::vector<std::uint32_t> owner(nx_); // the chunk owning each ix row
+    for (std::size_t c = 0; c < chunks; ++c) {
+        std::fill(owner.begin() + static_cast<std::ptrdiff_t>(nx_ * c / chunks),
+                  owner.begin() + static_cast<std::ptrdiff_t>(nx_ * (c + 1) / chunks),
+                  static_cast<std::uint32_t>(c));
     }
+
+    // Bucket the rect indices per owning chunk, in index order, in two
+    // passes over the same contiguous blocks of rects: the first runs each
+    // rect's x decomposition (the one stamp_rows runs) and counts, per
+    // block, the rects each chunk receives; the second writes every block's
+    // indices at its offset, chunk-major and block-ordered, so each chunk's
+    // bucket lists its rects in ascending index.
+    thread_pool& pool = thread_pool::instance();
+    const std::size_t blocks = chunks;
+    std::vector<std::uint32_t> first(n), last(n); // owning chunks; first > last: none
+    std::vector<std::size_t> offset(blocks * chunks, 0); // [block][chunk]
+    pool.for_chunks(n, blocks, [&](std::size_t b, std::size_t begin, std::size_t end) {
+        std::size_t* count = offset.data() + b * chunks;
+        for (std::size_t i = begin; i < end; ++i) {
+            first[i] = 1;
+            last[i] = 0;
+            const rect clipped = intersect(rects[i], region_);
+            if (!(clipped.xlo < clipped.xhi) || !(clipped.ylo < clipped.yhi)) continue;
+            const axis_run xs =
+                decompose_axis(clipped.xlo, clipped.xhi, region_.xlo, bin_w_, nx_);
+            if (xs.empty) continue;
+            first[i] = owner[xs.lo];
+            last[i] = owner[xs.hi];
+            for (std::size_t c = first[i]; c <= last[i]; ++c) ++count[c];
+        }
+    });
+    std::vector<std::size_t> bucket_begin(chunks + 1);
+    std::size_t total = 0;
+    for (std::size_t c = 0; c < chunks; ++c) {
+        bucket_begin[c] = total;
+        for (std::size_t b = 0; b < blocks; ++b) {
+            const std::size_t count = offset[b * chunks + c];
+            offset[b * chunks + c] = total;
+            total += count;
+        }
+    }
+    bucket_begin[chunks] = total;
+    std::vector<std::uint32_t> bucket(total);
+    pool.for_chunks(n, blocks, [&](std::size_t b, std::size_t begin, std::size_t end) {
+        std::size_t* next = offset.data() + b * chunks;
+        for (std::size_t i = begin; i < end; ++i) {
+            for (std::size_t c = first[i]; c <= last[i]; ++c) {
+                bucket[next[c]++] = static_cast<std::uint32_t>(i);
+            }
+        }
+    });
     parallel_for(chunks, [&](std::size_t c) {
         const std::size_t r0 = nx_ * c / chunks;
         const std::size_t r1 = nx_ * (c + 1) / chunks;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (xlo[i] > xhi[i] || xhi[i] < r0 || xlo[i] >= r1) continue;
-            stamp_rows(rects[i], weight, demand_, r0, r1);
+        for (std::size_t k = bucket_begin[c]; k < bucket_begin[c + 1]; ++k) {
+            stamp_rows(rects[bucket[k]], weight, demand_, r0, r1);
         }
     });
 }

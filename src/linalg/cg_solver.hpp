@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "linalg/csr_matrix.hpp"
+#include "util/profiler.hpp"
 
 namespace gpf {
 
@@ -31,12 +32,18 @@ struct cg_options {
     std::size_t max_iterations = 0;   ///< 0 → 10 * n
     preconditioner_kind preconditioner = preconditioner_kind::jacobi;
     double ssor_omega = 1.2;          ///< relaxation factor for ssor
+    /// Absolute step bound: an axis also stops as converged once an update
+    /// αp moved no variable by more than this (0: off, the residual test
+    /// alone). The placer's wire relaxation sets it to a fraction of a
+    /// density bin; see DESIGN.md, "Stopping rules".
+    double step_bound = 0.0;
 };
 
 struct cg_result {
     bool converged = false;
     std::size_t iterations = 0;
     double residual = 0.0; ///< final relative residual
+    cg_stop stop = cg_stop::cap; ///< why the solve ended (util/profiler.hpp)
 };
 
 /// One axis of a paired solve: (A + diag(s)) x = b, with A's values on the

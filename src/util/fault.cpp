@@ -14,6 +14,7 @@ constexpr std::array<const char*, num_fault_sites> kSiteNames = {
     "cg_stall",        "cg_nan",        "fft_nonfinite",
     "force_nonfinite", "density_spike", "io_short_read",
     "checkpoint_torn_write", "process_abort", "transform_stall",
+    "cg_step_nan",
 };
 
 /// Split on ':' without touching errno-based parsing; empty fields are

@@ -3,9 +3,10 @@
 // The recovery ladder in core/placer.cpp can only be trusted if its
 // trigger paths are exercised on every change, at every thread count.
 // This module plants named *injection sites* in the numerically fragile
-// substrates — the CG solver (forced stagnation, NaN residual), the
-// spectral convolution and force field (non-finite samples), the density
-// map (overflow spike) and Bookshelf I/O (short read) — plus the
+// substrates — the CG solver (forced stagnation, NaN residual, a NaN
+// search direction mid-solve), the spectral convolution and force field
+// (non-finite samples), the density map (overflow spike) and Bookshelf
+// I/O (short read) — plus the
 // process-level failure modes of DESIGN.md §14: a torn checkpoint write,
 // an abrupt SIGKILL death of the placement loop, and a stalled
 // transformation watchdog. It arms exactly one of them, either from the
@@ -44,6 +45,7 @@ enum class fault_site : std::size_t {
     checkpoint_torn_write, ///< checkpoint writer persists a truncated envelope
     process_abort,   ///< placer loop dies by SIGKILL (supervisor restart drill)
     transform_stall, ///< watchdog sees a transformation exceed its budget
+    cg_step_nan,     ///< CG poisons one search-direction entry before an update
     count_,
 };
 

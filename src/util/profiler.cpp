@@ -1,5 +1,6 @@
 #include "util/profiler.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -21,6 +22,18 @@ const char* profile_phase_name(profile_phase phase) {
         case profile_phase::interpolate: return "interpolate";
         case profile_phase::other: return "other";
         case profile_phase::count_: break;
+    }
+    return "?";
+}
+
+const char* cg_stop_name(cg_stop stop) {
+    switch (stop) {
+        case cg_stop::residual: return "residual";
+        case cg_stop::step: return "step";
+        case cg_stop::cap: return "cap";
+        case cg_stop::breakdown: return "breakdown";
+        case cg_stop::fault: return "fault";
+        case cg_stop::count_: break;
     }
     return "?";
 }
@@ -105,6 +118,21 @@ std::size_t profiler::total_cg(profile_phase kind) const {
     return cg_kind_total_[cg_kind_index(kind)];
 }
 
+void profiler::add_cg_stop(profile_phase kind, cg_stop stop, double residual) {
+    const std::size_t k = cg_kind_index(kind);
+    cg_stops_[k][static_cast<std::size_t>(stop)] += 1;
+    double& worst = cg_worst_residual_[k];
+    if (!std::isnan(worst) && !(residual <= worst)) worst = residual;
+}
+
+std::size_t profiler::cg_stops(profile_phase kind, cg_stop stop) const {
+    return cg_stops_[cg_kind_index(kind)][static_cast<std::size_t>(stop)];
+}
+
+double profiler::worst_cg_residual(profile_phase kind) const {
+    return cg_worst_residual_[cg_kind_index(kind)];
+}
+
 void profiler::end_transform() {
     ++transforms_;
     if (trace_) {
@@ -181,6 +209,16 @@ std::string profiler::summary() const {
     os << "  cg iterations: x=" << cg_x_total_ << " y=" << cg_y_total_
        << " (hold-and-move " << cg_kind_total_[0] << ", wire-relax "
        << cg_kind_total_[1] << ")\n";
+    os << "  cg stops:";
+    for (const profile_phase kind : {profile_phase::solve, profile_phase::wire_relax}) {
+        const std::size_t k = cg_kind_index(kind);
+        os << (k == 0 ? " hold-and-move" : "; wire-relax");
+        for (std::size_t c = 0; c < num_cg_stops; ++c) {
+            os << ' ' << cg_stop_name(static_cast<cg_stop>(c)) << '=' << cg_stops_[k][c];
+        }
+        os << ", worst residual " << cg_worst_residual_[k];
+    }
+    os << '\n';
     return os.str();
 }
 
@@ -194,6 +232,8 @@ void profiler::reset() {
     cg_x_current_ = cg_y_current_ = 0;
     cg_kind_total_.fill(0);
     cg_kind_current_.fill(0);
+    cg_stops_ = {};
+    cg_worst_residual_.fill(0.0);
 }
 
 } // namespace gpf

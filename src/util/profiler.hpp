@@ -39,6 +39,22 @@ inline constexpr std::size_t num_profile_phases =
 /// Name of a phase as printed in trace lines and summaries.
 const char* profile_phase_name(profile_phase phase);
 
+/// Why a CG axis stopped (linalg's cg_result::stop). The profiler counts
+/// stops per cause and solve kind.
+enum class cg_stop : std::size_t {
+    residual,  ///< relative residual at or below the tolerance
+    step,      ///< the last update moved no variable more than the step bound
+    cap,       ///< iteration cap reached
+    breakdown, ///< p·Ap not positive, or a non-finite residual
+    fault,     ///< an armed fault-injection site fired
+    count_,
+};
+
+inline constexpr std::size_t num_cg_stops = static_cast<std::size_t>(cg_stop::count_);
+
+/// Name of a stop cause as printed in summaries.
+const char* cg_stop_name(cg_stop stop);
+
 /// Sub-phase kernels of the density→force pipeline. Unlike phases,
 /// kernel samples also carry a flop count, so trace lines and summaries
 /// can report effective GFLOP/s per kernel. Together the five cover the
@@ -84,6 +100,9 @@ public:
     /// kind: profile_phase::solve (the transformation's hold-and-move or
     /// accumulate solve) or profile_phase::wire_relax.
     void add_cg_iterations(profile_phase kind, std::size_t x_iters, std::size_t y_iters);
+    /// Record how one CG axis of the given solve kind stopped, with its
+    /// final relative residual (a NaN residual is the worst).
+    void add_cg_stop(profile_phase kind, cg_stop stop, double residual);
 
     /// Marks the end of one placement transformation; when tracing, emits
     ///   GPF_PROFILE transform=N assemble=... ... cg_x=N cg_y=N
@@ -103,6 +122,10 @@ public:
     std::size_t total_cg_y() const { return cg_y_total_; }
     /// CG iterations (x + y) of one solve kind (see add_cg_iterations).
     std::size_t total_cg(profile_phase kind) const;
+    /// Axes of one solve kind that stopped for `stop` (see add_cg_stop).
+    std::size_t cg_stops(profile_phase kind, cg_stop stop) const;
+    /// Worst final relative residual over the axes of one solve kind.
+    double worst_cg_residual(profile_phase kind) const;
 
     /// Multi-line human-readable summary of the accumulated totals.
     std::string summary() const;
@@ -137,6 +160,8 @@ private:
     std::size_t cg_x_total_ = 0, cg_y_total_ = 0;
     std::size_t cg_x_current_ = 0, cg_y_current_ = 0;
     cg_by_kind cg_kind_total_{}, cg_kind_current_{};
+    std::array<std::array<std::size_t, num_cg_stops>, 2> cg_stops_{};
+    std::array<double, 2> cg_worst_residual_{};
 };
 
 /// RAII phase scope: records elapsed wall-clock into the global profiler

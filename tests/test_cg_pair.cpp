@@ -6,7 +6,9 @@
 // anchors), at every GPF_THREADS value and every kernel tier the host
 // runs, and through the edge cases where the two axes part ways: one
 // converging first, a zero right-hand side, a fault on one axis, and a
-// system small enough for a single reduction slab.
+// system small enough for a single reduction slab. The step rule
+// (cg_options::step_bound) is checked against a reference loop of its
+// own, and must leave the oracle match untouched while it is off.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -369,6 +371,7 @@ void expect_same(const cg_result& got, const cg_result& want, const std::string&
 void sweep_against_oracle(const fixture& f, std::uint64_t seed) {
     cg_options opt;
     opt.tolerance = 1e-10;
+    opt.step_bound = 0.0; // off: the core must be the oracle's arithmetic
     for (const system_case& c : make_cases(f, seed)) {
         for (const variant v : {variant::plain, variant::y_converges_first,
                                 variant::zero_rhs_y, variant::nan_fault_y,
@@ -434,6 +437,144 @@ TEST(CgPair, NanFaultPoisonsOnlyItsAxis) {
     EXPECT_TRUE(std::isnan(s.ry.residual));
     EXPECT_EQ(s.ry.iterations, 0u);
     EXPECT_TRUE(std::isnan(s.y[5 % s.y.size()]));
+}
+
+// --- step rule ----------------------------------------------------------------
+
+/// The oracle's loop for one axis, plus the step rule as specified: after
+/// each update, stop as converged once max_i |α·p_i| is at most `bound`
+/// (a NaN maximum or a non-finite r·r never stops). `steps` receives the
+/// maximum of every update made.
+cg_result reference_step_solve(const apply_fn& apply, const std::vector<double>& diagonal,
+                               const std::vector<double>& b, std::vector<double>& x,
+                               double tolerance, double bound,
+                               std::vector<double>* steps = nullptr) {
+    const std::size_t n = b.size();
+    cg_result result;
+    const double bnorm = oracle_norm(b);
+    std::vector<double> r(n), z(n), p(n), ap(n);
+    apply(x, ap);
+    for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - ap[i];
+    for (std::size_t i = 0; i < n; ++i) z[i] = r[i] / diagonal[i];
+    p = z;
+    double rz = oracle_dot(r, z);
+    for (std::size_t it = 0; it < 10 * n + 100; ++it) {
+        result.residual = oracle_norm(r) / bnorm;
+        if (result.residual <= tolerance) {
+            result.converged = true;
+            result.iterations = it;
+            result.stop = cg_stop::residual;
+            return result;
+        }
+        apply(p, ap);
+        const double alpha = rz / oracle_dot(p, ap);
+        double step = 0.0;
+        for (std::size_t i = 0; i < n; ++i) {
+            const double d = std::abs(alpha * p[i]);
+            if (!std::isnan(step) && !(d <= step)) step = d; // NaN sticks
+            x[i] += alpha * p[i];
+        }
+        if (steps) steps->push_back(step);
+        for (std::size_t i = 0; i < n; ++i) r[i] += -alpha * ap[i];
+        for (std::size_t i = 0; i < n; ++i) z[i] = r[i] / diagonal[i];
+        const double rz_new = oracle_dot(r, z);
+        const double rr = oracle_dot(r, r);
+        result.iterations = it + 1;
+        if (std::isfinite(step) && std::isfinite(rr) && step <= bound) {
+            result.residual = std::sqrt(rr) / bnorm;
+            result.converged = true;
+            result.stop = result.residual <= tolerance ? cg_stop::residual : cg_stop::step;
+            return result;
+        }
+        const double beta = rz_new / rz;
+        rz = rz_new;
+        for (std::size_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
+    }
+    ADD_FAILURE() << "reference loop hit its iteration cap";
+    return result;
+}
+
+/// A bound that the step rule meets partway through the solve: the
+/// median of the update maxima of an unbounded reference solve.
+double midway_bound(const axis_case& c, double tolerance) {
+    std::vector<double> x = c.x0;
+    std::vector<double> steps;
+    reference_step_solve(c.apply, c.diagonal, c.b, x, tolerance, 0.0, &steps);
+    std::nth_element(steps.begin(), steps.begin() + steps.size() / 2, steps.end());
+    return steps[steps.size() / 2];
+}
+
+TEST(CgStepRule, StopsAtFirstSmallUpdatePerAxisAtEveryThreadCount) {
+    const fixture f(5000, 21, net_model_options{});
+    ASSERT_GT(f.sys.num_vars(), 2 * deterministic_sum_slab);
+    bool axes_parted = false;
+    for (const system_case& c : make_cases(f, 21)) {
+        cg_options opt;
+        opt.tolerance = 1e-12;
+        opt.step_bound = midway_bound(c.ax, opt.tolerance);
+        // Each axis alone, as the reference states the rule.
+        solved want{{}, {}, c.ax.x0, c.ay.x0};
+        {
+            scoped_config cfg(simd_isa::scalar, 1);
+            want.rx = reference_step_solve(c.ax.apply, c.ax.diagonal, c.ax.b, want.x,
+                                           opt.tolerance, opt.step_bound);
+            want.ry = reference_step_solve(c.ay.apply, c.ay.diagonal, c.ay.b, want.y,
+                                           opt.tolerance, opt.step_bound);
+        }
+        ASSERT_EQ(want.rx.stop, cg_stop::step) << c.name;
+        ASSERT_GT(want.rx.iterations, 1u) << c.name;
+        axes_parted = axes_parted || want.rx.iterations != want.ry.iterations;
+        for (const simd_isa isa : available_isas()) {
+            for (const std::size_t threads : {1, 2, 4, 8}) {
+                scoped_config cfg(isa, threads);
+                const solved got = run_paired(c, opt, variant::plain, c.ay.x0);
+                const std::string where = c.name + " " + simd_isa_name(isa) +
+                                          " threads=" + std::to_string(threads);
+                expect_same(got.rx, want.rx, where + " x");
+                expect_same(got.ry, want.ry, where + " y");
+                EXPECT_EQ(got.rx.stop, want.rx.stop) << where;
+                EXPECT_EQ(got.ry.stop, want.ry.stop) << where;
+                ASSERT_TRUE(same_bits(got.x, want.x)) << where << " x solution";
+                ASSERT_TRUE(same_bits(got.y, want.y)) << where << " y solution";
+            }
+        }
+    }
+    // At least one system stops its axes at different iterations, so the
+    // lockstep core really carries on with one axis alone.
+    EXPECT_TRUE(axes_parted);
+}
+
+TEST(CgStepRule, NanInSearchDirectionIsNeverConverged) {
+    // Plant a NaN in p right before the update at which the step rule
+    // would otherwise stop. r·r stays finite (Ap was formed before the
+    // NaN), so only a NaN-keeping maximum refuses to report the poisoned
+    // x as converged; the next p·Ap then breaks the solve down.
+    const fixture f(5000, 23, net_model_options{});
+    const system_case c = make_cases(f, 23).front();
+    cg_options opt;
+    opt.tolerance = 1e-14;
+    opt.step_bound = midway_bound(c.ax, opt.tolerance);
+    std::vector<double> x = c.ax.x0;
+    const cg_result clean = reference_step_solve(c.ax.apply, c.ax.diagonal, c.ax.b, x,
+                                                 opt.tolerance, opt.step_bound);
+    ASSERT_EQ(clean.stop, cg_stop::step);
+    ASSERT_GE(clean.iterations, 2u); // the NaN lands after the first iteration
+    const std::vector<double> zero_b(c.ay.b.size(), 0.0); // y inactive: visits are x's
+    for (const std::size_t threads : {1, 4}) {
+        scoped_config cfg(simd_isa::scalar, threads);
+        std::vector<double> sx = c.ax.x0;
+        std::vector<double> sy = c.ay.x0;
+        cg_result rx;
+        {
+            scoped_fault fault(fault_site::cg_step_nan, clean.iterations - 1, 17);
+            rx = cg_solve_pair(c.pattern, {c.ax.values, c.ax.shift, c.ax.diagonal, c.ax.b, sx},
+                               {c.ay.values, c.ay.shift, c.ay.diagonal, zero_b, sy}, opt)
+                     .first;
+        }
+        EXPECT_FALSE(rx.converged) << "threads=" << threads;
+        EXPECT_EQ(rx.stop, cg_stop::breakdown) << "threads=" << threads;
+        EXPECT_TRUE(std::isnan(sx[17 % sx.size()])) << "threads=" << threads;
+    }
 }
 
 TEST(CsrPattern, RejectsRowsBeyondThirtyTwoBitIndices) {

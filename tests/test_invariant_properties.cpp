@@ -15,12 +15,19 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "verify/properties.hpp"
 
 namespace gpf {
+
+/// gtest prints a test parameter into the ctest name ("# GetParam() =
+/// ..."); print a check as its stable name, not as the raw bytes of its
+/// two pointers (found by argument-dependent lookup, so it lives in gpf).
+void PrintTo(const property_check& check, std::ostream* os) { *os << check.name; }
+
 namespace {
 
 std::uint64_t seed_count() {

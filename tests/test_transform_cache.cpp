@@ -269,5 +269,43 @@ TEST(TransformCache, ProfilerSplitsCgIterationsByKind) {
     prof.set_enabled(was_enabled);
 }
 
+TEST(TransformCache, ProfilerCountsCgStopsByCause) {
+    profiler& prof = profiler::instance();
+    const bool was_enabled = prof.enabled();
+    prof.set_enabled(true);
+    prof.reset();
+
+    const netlist nl = test_circuit(200, 99);
+    placer_options opt;
+    opt.max_iterations = 3;
+    opt.min_iterations = 3;
+    opt.wire_relax_interval = 1;
+    placer p(nl, opt);
+    p.run();
+
+    // One stop per axis and solve. Only wire relaxation has a step bound.
+    for (const profile_phase kind : {profile_phase::solve, profile_phase::wire_relax}) {
+        std::size_t stops = 0;
+        for (std::size_t c = 0; c < num_cg_stops; ++c) {
+            stops += prof.cg_stops(kind, static_cast<cg_stop>(c));
+        }
+        EXPECT_EQ(stops, 2 * prof.transforms()) << profile_phase_name(kind);
+    }
+    EXPECT_EQ(prof.cg_stops(profile_phase::solve, cg_stop::step), 0u);
+    EXPECT_GT(prof.cg_stops(profile_phase::wire_relax, cg_stop::step), 0u);
+    EXPECT_LE(prof.worst_cg_residual(profile_phase::solve), opt.cg.tolerance);
+    EXPECT_GT(prof.worst_cg_residual(profile_phase::wire_relax), opt.cg.tolerance);
+
+    const std::string summary = prof.summary();
+    const std::size_t iters = summary.find("cg iterations:");
+    const std::size_t stops = summary.find("cg stops:");
+    ASSERT_NE(stops, std::string::npos) << summary;
+    EXPECT_LT(iters, stops) << summary;
+    EXPECT_NE(summary.find("wire-relax residual="), std::string::npos) << summary;
+
+    prof.reset();
+    prof.set_enabled(was_enabled);
+}
+
 } // namespace
 } // namespace gpf

@@ -34,7 +34,7 @@ struct method_result {
     /// profile_phase; filled by phase_capture when the profiler collects.
     std::array<double, num_profile_phases> phase_ms{};
     /// Wall-clock milliseconds per density→force kernel (stamp, fft_fwd,
-    /// fft_mul, fft_inv, readback), indexed by profile_kernel; filled by
+    /// fft_mul, fft_inv), indexed by profile_kernel; filled by
     /// phase_capture alongside phase_ms and merged into the same
     /// "phase_ms" JSON object (names never collide with phase names).
     std::array<double, num_profile_kernels> kernel_ms{};

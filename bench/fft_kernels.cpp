@@ -119,8 +119,8 @@ fft_timing time_r2c_2d(std::size_t n) {
     return t;
 }
 
-/// Per-rep kernel milliseconds (stamp / fft_fwd / fft_mul / fft_inv /
-/// readback) accumulated by a phase_capture around a reps loop.
+/// Per-rep kernel milliseconds (stamp / fft_fwd / fft_mul / fft_inv)
+/// accumulated by a phase_capture around a reps loop.
 using kernel_split = std::array<double, num_profile_kernels>;
 
 /// Divides the captured kernel totals by the rep count so the JSON

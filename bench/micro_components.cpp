@@ -313,38 +313,6 @@ void bm_placement_transformation_threads(benchmark::State& state) {
 }
 BENCHMARK(bm_placement_transformation_threads)->Apply(thread_sweep);
 
-/// The transformation with every iteration-persistent cache disabled — the
-/// pre-caching hot path, kept as the baseline the cached loop is measured
-/// against (placements are bitwise identical either way).
-void bm_placement_transformation_nocache(benchmark::State& state) {
-    placer_options opt;
-    opt.iteration_cache = false;
-    const netlist nl = make_circuit(static_cast<std::size_t>(state.range(0)));
-    placer p(nl, opt);
-    placement pl = p.run();
-    for (auto _ : state) {
-        pl = p.transform(pl);
-        benchmark::DoNotOptimize(pl.size());
-    }
-}
-BENCHMARK(bm_placement_transformation_nocache)->Arg(1000)->Arg(4000);
-
-/// Warm-started hold-and-move solves (placer_options::warm_start_cg):
-/// deterministic but not bitwise comparable to the cold-start default, so
-/// it is benchmarked separately rather than folded into the cached loop.
-void bm_placement_transformation_warmstart(benchmark::State& state) {
-    placer_options opt;
-    opt.warm_start_cg = true;
-    const netlist nl = make_circuit(static_cast<std::size_t>(state.range(0)));
-    placer p(nl, opt);
-    placement pl = p.run();
-    for (auto _ : state) {
-        pl = p.transform(pl);
-        benchmark::DoNotOptimize(pl.size());
-    }
-}
-BENCHMARK(bm_placement_transformation_warmstart)->Arg(1000)->Arg(4000);
-
 void bm_rudy(benchmark::State& state) {
     const netlist nl = make_circuit(2000);
     const placement pl = nl.initial_placement();

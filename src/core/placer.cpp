@@ -52,28 +52,21 @@ double worse_residual(double a, double b) {
     return std::max(a, b);
 }
 
-/// Scoped tightening of the solver options for a rung-1 retry: Jacobi
-/// preconditioning forced on and the trust region halved.
+/// Scoped tightening of the options for a rung-1 retry: the trust region
+/// halved.
 class tighten_guard {
 public:
     explicit tighten_guard(placer_options& opt)
-        : opt_(opt),
-          saved_step_(opt.max_step_fraction),
-          saved_precond_(opt.cg.preconditioner) {
+        : opt_(opt), saved_step_(opt.max_step_fraction) {
         opt_.max_step_fraction *= 0.5;
-        opt_.cg.preconditioner = preconditioner_kind::jacobi;
     }
-    ~tighten_guard() {
-        opt_.max_step_fraction = saved_step_;
-        opt_.cg.preconditioner = saved_precond_;
-    }
+    ~tighten_guard() { opt_.max_step_fraction = saved_step_; }
     tighten_guard(const tighten_guard&) = delete;
     tighten_guard& operator=(const tighten_guard&) = delete;
 
 private:
     placer_options& opt_;
     double saved_step_;
-    preconditioner_kind saved_precond_;
 };
 
 } // namespace
@@ -141,9 +134,7 @@ std::pair<cg_result, cg_result> placer::wire_relax(placement& pl) {
 
     // (C + β·W̃) p = −d + β·W̃·p_cur with W̃ = diag(C): the anchor is the
     // diagonal shift s = β·diag(C). The move-target workspaces double as
-    // the solution vectors here (they are dead between transformations);
-    // delta_x_/delta_y_ must stay untouched — they carry the hold-and-move
-    // warm-start state.
+    // the solution vectors here (they are dead between transformations).
     const auto setup = [&](const std::vector<double>& b, const std::vector<double>& diag,
                            bool is_x, std::vector<double>& shift,
                            std::vector<double>& full_diag, std::vector<double>& rhs,
@@ -206,9 +197,8 @@ placement placer::transform(const placement& current) {
     density_map density(nl_.region(), nx, ny);
     {
         phase_timer timer(profile_phase::density);
-        const bool reuse = options_.iteration_cache && next_density_.has_value() &&
-                           next_density_->nx() == nx && next_density_->ny() == ny &&
-                           current == last_output_;
+        const bool reuse = next_density_.has_value() && next_density_->nx() == nx &&
+                           next_density_->ny() == ny && current == last_output_;
         if (reuse) {
             density = *next_density_;
         } else {
@@ -220,11 +210,10 @@ placement placer::transform(const placement& current) {
     }
 
     // 3. Force field of eq. (9). The calculator caches the kernel spectra
-    //    across transformations; a fresh one per call (iteration_cache
-    //    off) is bitwise identical by construction.
+    //    across transformations; a fresh one is bitwise identical by
+    //    construction.
     const force_field field = [&] {
         phase_timer timer(profile_phase::force_field);
-        if (!options_.iteration_cache) return compute_force_field(density);
         if (!field_calc_ || !field_calc_->matches(density)) {
             field_calc_ = std::make_unique<force_field_calculator>(nl_.region(),
                                                                    density.nx(),
@@ -337,12 +326,9 @@ placement placer::transform(const placement& current) {
                 full_diag_x_[v] = 2.0 * diag_x[v];
                 full_diag_y_[v] = 2.0 * diag_y[v];
             }
-            // The previous transformation's displacement is a good guess
-            // for this one (the fields change slowly), but the CG
-            // trajectory then differs from a cold start, so warm starting
-            // is opt-in (see placer_options::warm_start_cg).
-            if (!options_.warm_start_cg || delta_x_.size() != n) delta_x_.assign(n, 0.0);
-            if (!options_.warm_start_cg || delta_y_.size() != n) delta_y_.assign(n, 0.0);
+            // Each solve starts from a zero displacement.
+            delta_x_.assign(n, 0.0);
+            delta_y_.assign(n, 0.0);
             std::tie(res_x, res_y) = cg_solve_pair(
                 system_.pattern(), {system_.values_x(), diag_x, full_diag_x_, rhs_x_, delta_x_},
                 {system_.values_y(), diag_y, full_diag_y_, rhs_y_, delta_y_}, options_.cg);
@@ -421,34 +407,25 @@ placement placer::transform(const placement& current) {
             largest_empty_square_side(density, options_.empty_threshold);
     }
 
-    // Stopping criterion on the *output* placement. With the cache on, the
-    // stamped demand is kept (unfinalized, hook-free) so the next
-    // transformation's density step can reuse it; only the finalize runs on
-    // a copy. compute_density_grid stamps the same rects in the same order,
-    // so both paths see identical bins.
+    // Stopping criterion on the *output* placement. The stamped demand is
+    // kept (unfinalized, hook-free) so the next transformation's density
+    // step can reuse it; only the finalize runs on a copy.
     {
         phase_timer timer(profile_phase::spread_check);
-        if (options_.iteration_cache) {
-            build_cell_rects(next);
-            if (next_density_.has_value() && next_density_->nx() == nx &&
-                next_density_->ny() == ny) {
-                next_density_->clear();
-            } else {
-                next_density_.emplace(nl_.region(), nx, ny);
-            }
-            next_density_->add_rects(cell_rects_);
-            last_output_ = next;
-            density_map check = *next_density_;
-            check.finalize();
-            stats.spread = placement_is_spread(check, average_cell_area(),
-                                               options_.spread_factor,
-                                               options_.empty_threshold);
+        build_cell_rects(next);
+        if (next_density_.has_value() && next_density_->nx() == nx &&
+            next_density_->ny() == ny) {
+            next_density_->clear();
         } else {
-            const density_map check = compute_density_grid(nl_, next, nx, ny);
-            stats.spread = placement_is_spread(check, average_cell_area(),
-                                               options_.spread_factor,
-                                               options_.empty_threshold);
+            next_density_.emplace(nl_.region(), nx, ny);
         }
+        next_density_->add_rects(cell_rects_);
+        last_output_ = next;
+        density_map check = *next_density_;
+        check.finalize();
+        stats.spread = placement_is_spread(check, average_cell_area(),
+                                           options_.spread_factor,
+                                           options_.empty_threshold);
     }
 
     history_.push_back(stats);
@@ -775,17 +752,15 @@ placement placer::run_from(placement current, bool reset_forces) {
             if (movable_finite(solved) && solve_ok(init_x) && solve_ok(init_y)) {
                 current = std::move(solved);
             } else {
-                // The initial solve failed; re-solve tightened, and as the
-                // last resort keep the caller's start placement — slower
-                // to spread, but finite.
+                // The initial solve failed; re-solve once (a transient
+                // fault clears), and as the last resort keep the caller's
+                // start placement — slower to spread, but finite.
                 record_recovery(
                     st, recovery_action::retry_tightened,
                     "initial wire-length solve unhealthy (residual " +
                         fmt_value(worse_residual(init_x.residual, init_y.residual)) +
                         ")");
-                cg_options tightened = options_.cg;
-                tightened.preconditioner = preconditioner_kind::jacobi;
-                solved = system_.solve(current, {}, {}, tightened, &init_x, &init_y);
+                solved = system_.solve(current, {}, {}, options_.cg, &init_x, &init_y);
                 if (movable_finite(solved) && solve_ok(init_x) && solve_ok(init_y)) {
                     current = std::move(solved);
                 } else {
@@ -858,8 +833,6 @@ placement placer::run_loop(run_state& st) {
             placement out;
             if (tightened) {
                 tighten_guard guard(options_);
-                delta_x_.clear(); // cold-start any warm-start state
-                delta_y_.clear();
                 out = transform(input);
             } else {
                 out = transform(input);
@@ -974,8 +947,6 @@ placement placer::run_loop(run_state& st) {
                 options_.force_scale_k = snap.force_scale_k * 0.5;
                 force_x_ = std::move(snap.force_x);
                 force_y_ = std::move(snap.force_y);
-                delta_x_.clear();
-                delta_y_.clear();
                 continue;
             }
             // Rung 3: stop; the best-so-far placement is returned below.
@@ -1175,14 +1146,11 @@ std::string placer::serialize_state(const run_state& st) const {
     put_events(w, st.pending);
     // Iteration-carried placer members. force_scale_k is serialized as
     // state because rollback rungs halve it mid-run; the construction-time
-    // value is what the digest binds. delta_x_/delta_y_ are the CG
-    // warm-start displacements (state only under warm_start_cg).
+    // value is what the digest binds.
     w.put_f64(options_.force_scale_k);
     w.put_f64(force_constant_);
     w.put_f64_vector(force_x_);
     w.put_f64_vector(force_y_);
-    w.put_f64_vector(delta_x_);
-    w.put_f64_vector(delta_y_);
     w.put_u8(converged_ ? 1 : 0);
     w.put_u8(degraded_ ? 1 : 0);
     w.put_u64(history_.size());
@@ -1230,16 +1198,6 @@ void placer::restore_state(const std::string& payload, run_state& st) {
     force_constant_ = r.get_f64();
     force_x_ = get_force_vector(r, system_.num_vars(), "force_x");
     force_y_ = get_force_vector(r, system_.num_vars(), "force_y");
-    delta_x_ = r.get_f64_vector();
-    delta_y_ = r.get_f64_vector();
-    if (!delta_x_.empty() && delta_x_.size() != system_.num_vars()) {
-        throw checkpoint_error("checkpoint payload: warm-start delta_x has " +
-                               std::to_string(delta_x_.size()) + " entries");
-    }
-    if (!delta_y_.empty() && delta_y_.size() != system_.num_vars()) {
-        throw checkpoint_error("checkpoint payload: warm-start delta_y has " +
-                               std::to_string(delta_y_.size()) + " entries");
-    }
     converged_ = r.get_u8() != 0;
     degraded_ = r.get_u8() != 0;
     const std::uint64_t num_history = r.get_u64();
@@ -1264,9 +1222,9 @@ void placer::restore_state(const std::string& payload, run_state& st) {
                                std::to_string(r.remaining()) +
                                " trailing bytes after the state");
     }
-    // Resumption starts with cold caches. iteration_cache is documented
-    // bitwise-equivalent to fresh computation (tests/test_transform_cache
-    // .cpp), so rebuilding them does not perturb the trajectory.
+    // Resumption starts with cold caches. The caches are bitwise
+    // equivalent to fresh computation (tests/test_transform_cache.cpp),
+    // so rebuilding them does not perturb the trajectory.
     field_calc_.reset();
     next_density_.reset();
     last_output_.clear();
@@ -1312,8 +1270,6 @@ std::uint64_t placer::compute_digest() const {
     d.mix_u64(options_.plateau_window);
     d.mix_f64(options_.plateau_tolerance);
     d.mix_u64(options_.clamp_to_region ? 1 : 0);
-    d.mix_u64(options_.iteration_cache ? 1 : 0);
-    d.mix_u64(options_.warm_start_cg ? 1 : 0);
     d.mix_u64(options_.coarsen_levels);
     d.mix_f64(options_.cluster_max_area_ratio);
     d.mix_u64(options_.min_coarse_cells);
@@ -1329,8 +1285,6 @@ std::uint64_t placer::compute_digest() const {
     d.mix_f64(options_.net_model.min_length_fraction);
     d.mix_f64(options_.cg.tolerance);
     d.mix_u64(options_.cg.max_iterations);
-    d.mix_u64(static_cast<std::uint64_t>(options_.cg.preconditioner));
-    d.mix_f64(options_.cg.ssor_omega);
     // Netlist identity: region, geometry and connectivity. Names are
     // omitted — they appear in diagnostics, never in the trajectory.
     const rect region = nl_.region();

@@ -101,20 +101,6 @@ struct placer_options {
     std::size_t plateau_window = 20;
     double plateau_tolerance = 2e-3;
     bool clamp_to_region = true;         ///< project cell centers back into the core
-    /// Iteration-persistent caches threaded through the transformation
-    /// loop (DESIGN.md §7): the spectral force-field kernels are built
-    /// once per grid, the density stamped for the stopping criterion seeds
-    /// the next transformation's input density, and solver workspaces
-    /// persist. Placements are bitwise identical with the cache on or off
-    /// (tests/test_transform_cache.cpp); the switch exists for that
-    /// equivalence test and as a safety valve.
-    bool iteration_cache = true;
-    /// Warm-start the hold-and-move displacement solves from the previous
-    /// transformation's displacement instead of zero. Deterministic for
-    /// any thread count, but the CG iterate trajectory differs from a
-    /// cold start, so placements are *not* bitwise comparable to the
-    /// default cold-start path; off by default.
-    bool warm_start_cg = false;
 
     // --- Multilevel V-cycle (DESIGN.md §11) -------------------------------
     /// Number of coarsening levels. 0 (default) runs today's flat loop —
@@ -395,11 +381,11 @@ private:
     std::uint64_t digest_ = 0;          ///< checkpoint binding digest
     std::uint64_t heartbeat_counter_ = 0;
 
-    // Iteration-persistent caches (placer_options::iteration_cache) and
-    // solver workspaces. The caches never change results: the calculator
-    // is bitwise equivalent to a fresh one, and next_density_ holds the
-    // exact demand a fresh stamping of the same placement would produce
-    // (guarded by a value comparison against last_output_).
+    // Iteration-persistent caches (DESIGN.md §7) and solver workspaces.
+    // The caches never change results: the calculator is bitwise
+    // equivalent to a fresh one, and next_density_ holds the exact demand
+    // a fresh stamping of the same placement would produce (guarded by a
+    // value comparison against last_output_).
     std::unique_ptr<force_field_calculator> field_calc_;
     std::optional<density_map> next_density_; ///< unfinalized, hook-free demand of last output
     placement last_output_;
@@ -408,7 +394,7 @@ private:
     std::vector<double> rhs_x_, rhs_y_;       ///< solve rhs workspaces
     std::vector<double> full_diag_x_, full_diag_y_; ///< diag(C) + shift
     std::vector<double> shift_x_, shift_y_;   ///< wire-relax anchor β·diag(C)
-    std::vector<double> delta_x_, delta_y_;   ///< displacement (warm-start state)
+    std::vector<double> delta_x_, delta_y_;   ///< hold-and-move displacement
 };
 
 } // namespace gpf

@@ -7,7 +7,6 @@
 #include "linalg/fft.hpp"
 #include "util/check.hpp"
 #include "util/fault.hpp"
-#include "util/profiler.hpp"
 #include "util/thread_pool.hpp"
 
 namespace gpf {
@@ -122,27 +121,11 @@ force_field force_field_calculator::compute(const density_map& density) {
     GPF_CHECK_MSG(density.finalized(), "density map must be finalized");
 
     force_field field(region_, nx_, ny_);
-    const double area = density.bin_area();
-    if (spectral_fused_enabled()) {
-        // Fused forward path: the source term (demand - supply) * area is
-        // applied inside the r2c row gather as (demand + (-supply)) * area
-        // — bitwise the same, IEEE a - b == a + (-b) — so the density grid
-        // feeds the transform directly and the src_ grid plus its full
-        // write/read round trip disappear.
-        convolver_.convolve_pair_affine(density.demand(), -density.supply_level(),
-                                        area, field.fx(), field.fy());
-    } else {
-        {
-            kernel_timer timer(profile_kernel::readback);
-            src_.resize(nx_ * ny_);
-            for (std::size_t ix = 0; ix < nx_; ++ix) {
-                for (std::size_t iy = 0; iy < ny_; ++iy) {
-                    src_[ix * ny_ + iy] = density.density_at(ix, iy) * area;
-                }
-            }
-        }
-        convolver_.convolve_pair(src_, field.fx(), field.fy());
-    }
+    // The source term (demand - supply) * area is applied inside the r2c
+    // row gather as (demand + (-supply)) * area — bitwise the same, IEEE
+    // a - b == a + (-b) — so the density grid feeds the transform directly.
+    convolver_.convolve_pair_affine(density.demand(), -density.supply_level(),
+                                    density.bin_area(), field.fx(), field.fy());
     // Injection site (util/fault.hpp): a degenerate bin geometry divides
     // the kernel normalization by zero, which turns the whole field NaN —
     // the emulation does the same.

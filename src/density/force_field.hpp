@@ -83,7 +83,6 @@ private:
     rect region_;
     std::size_t nx_, ny_;
     spectral_convolver convolver_;
-    std::vector<double> src_; ///< per-bin source workspace, reused
 };
 
 /// FFT evaluation of eq. (9) over the density grid. The field is computed

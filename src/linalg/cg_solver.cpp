@@ -94,7 +94,6 @@ struct axis_state {
     std::vector<double> r, z, p, ap;
     std::vector<double> pap_part, rz_part, rr_part; ///< per slab
     std::vector<double> step_part; ///< per slab max |αp_i| (step rule only)
-    std::vector<double> sweep;     ///< SSOR forward sweep
 
     /// The loop's exit bookkeeping: final residual from the current r; a
     /// solve that did not reach the tolerance stopped for `cause`.
@@ -126,47 +125,11 @@ void shifted_spmv_rows(const csr_pattern& a, const cg_axis& sys, const double* p
     }
 }
 
-/// z = M^{-1} r over rows [begin, end) (Jacobi or none; SSOR is a serial
-/// sweep over the whole vector, see apply_ssor).
-void precondition_rows(preconditioner_kind kind, std::span<const double> diagonal,
-                       const double* r, double* z, std::size_t begin,
-                       std::size_t end) {
-    if (kind == preconditioner_kind::jacobi) {
-        for (std::size_t i = begin; i < end; ++i) z[i] = r[i] / diagonal[i];
-    } else {
-        std::copy(r + begin, r + end, z + begin);
-    }
-}
-
-// z = (D/w + L)^{-T} D (D/w + L)^{-1} r, scaled; one forward and one
-// backward Gauss-Seidel-like sweep. D is the shifted diagonal diag(A) + s;
-// the strictly lower/upper parts come from A (the shift is diagonal).
-void apply_ssor(const csr_pattern& a, const cg_axis& sys, double omega,
-                const std::vector<double>& r, std::vector<double>& z,
-                std::vector<double>& y) {
-    const std::size_t n = r.size();
-    const auto& rp = a.row_ptr;
-    const auto& ci = a.col_idx;
-    const std::span<const double> v = sys.values;
-    const std::span<const double> d = sys.diagonal;
-    // forward sweep: (D/w + L) y = r
-    for (std::size_t i = 0; i < n; ++i) {
-        double acc = r[i];
-        for (std::size_t k = rp[i]; k < rp[i + 1]; ++k) {
-            if (ci[k] < i) acc -= v[k] * y[ci[k]];
-        }
-        y[i] = acc * omega / d[i];
-    }
-    // scale by D/w
-    for (std::size_t i = 0; i < n; ++i) y[i] *= d[i] / omega;
-    // backward sweep: (D/w + U) z = y
-    for (std::size_t ii = n; ii-- > 0;) {
-        double acc = y[ii];
-        for (std::size_t k = rp[ii]; k < rp[ii + 1]; ++k) {
-            if (ci[k] > ii) acc -= v[k] * z[ci[k]];
-        }
-        z[ii] = acc * omega / d[ii];
-    }
+/// Jacobi preconditioning z = D⁻¹ r over rows [begin, end), with D the
+/// shifted diagonal diag(A) + s.
+void precondition_rows(std::span<const double> diagonal, const double* r, double* z,
+                       std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) z[i] = r[i] / diagonal[i];
 }
 
 /// Entry checks, fault gate, zero-rhs exit and r0/z0/p0 for one axis.
@@ -187,11 +150,9 @@ void start_axis(const csr_pattern& a, axis_state& ax, const cg_options& options)
         ax.result.stop = cg_stop::residual;
         return;
     }
-    if (options.preconditioner != preconditioner_kind::none) {
-        GPF_CHECK(sys.diagonal.size() == n);
-        for (const double d : sys.diagonal) {
-            GPF_CHECK_MSG(d > 0.0, "preconditioner requires positive diagonal");
-        }
+    GPF_CHECK(sys.diagonal.size() == n);
+    for (const double d : sys.diagonal) {
+        GPF_CHECK_MSG(d > 0.0, "preconditioner requires positive diagonal");
     }
 
     const std::size_t slabs = slab_count(n);
@@ -203,7 +164,6 @@ void start_axis(const csr_pattern& a, axis_state& ax, const cg_options& options)
     ax.rz_part.assign(slabs, 0.0);
     ax.rr_part.assign(slabs, 0.0);
     if (options.step_bound > 0.0) ax.step_part.assign(slabs, 0.0);
-    if (options.preconditioner == preconditioner_kind::ssor) ax.sweep.assign(n, 0.0);
 
     // r0 = b - (A + diag(s)) x0
     parallel_for_chunks(
@@ -213,12 +173,7 @@ void start_axis(const csr_pattern& a, axis_state& ax, const cg_options& options)
             for (std::size_t i = begin; i < end; ++i) ax.r[i] = sys.b[i] - ax.ap[i];
         },
         /*grain=*/256);
-    if (options.preconditioner == preconditioner_kind::ssor) {
-        apply_ssor(a, sys, options.ssor_omega, ax.r, ax.z, ax.sweep);
-    } else {
-        precondition_rows(options.preconditioner, sys.diagonal, ax.r.data(),
-                          ax.z.data(), 0, n);
-    }
+    precondition_rows(sys.diagonal, ax.r.data(), ax.z.data(), 0, n);
     ax.p = ax.z;
     ax.rz = slab_dot(ax.r.data(), ax.z.data(), n);
     ax.rr = slab_dot(ax.r.data(), ax.r.data(), n);
@@ -247,7 +202,6 @@ void solve_axes(const csr_pattern& a, std::span<axis_state> axes,
     const std::size_t n = a.rows();
     for (axis_state& ax : axes) start_axis(a, ax, options);
 
-    const bool ssor = options.preconditioner == preconditioner_kind::ssor;
     const bool step_rule = options.step_bound > 0.0;
     const std::size_t slabs = slab_count(n);
     const std::size_t max_iter =
@@ -338,11 +292,8 @@ void solve_axes(const csr_pattern& a, std::span<axis_state> axes,
                 double* r = ax.r.data();
                 kern.axpy(ax.alpha, ax.p.data() + begin, ax.sys->x.data() + begin, len);
                 kern.axpy(-ax.alpha, ax.ap.data() + begin, r + begin, len);
-                if (!ssor) {
-                    precondition_rows(options.preconditioner, ax.sys->diagonal, r,
-                                      ax.z.data(), begin, end);
-                    ax.rz_part[s] = kern.dot(r + begin, ax.z.data() + begin, len);
-                }
+                precondition_rows(ax.sys->diagonal, r, ax.z.data(), begin, end);
+                ax.rz_part[s] = kern.dot(r + begin, ax.z.data() + begin, len);
                 ax.rr_part[s] = kern.dot(r + begin, r + begin, len);
                 if (step_rule) {
                     const double* p = ax.p.data();
@@ -356,13 +307,7 @@ void solve_axes(const csr_pattern& a, std::span<axis_state> axes,
         });
         for (axis_state& ax : axes) {
             if (!ax.active) continue;
-            double rz_new;
-            if (ssor) {
-                apply_ssor(a, *ax.sys, options.ssor_omega, ax.r, ax.z, ax.sweep);
-                rz_new = slab_dot(ax.r.data(), ax.z.data(), n);
-            } else {
-                rz_new = merge_slabs(ax.rz_part);
-            }
+            const double rz_new = merge_slabs(ax.rz_part);
             ax.rr = merge_slabs(ax.rr_part);
             ax.beta = rz_new / ax.rz;
             ax.rz = rz_new;
@@ -430,9 +375,7 @@ std::pair<cg_result, cg_result> cg_solve_pair(const csr_pattern& pattern,
 
 cg_result cg_solve(const csr_matrix& a, const std::vector<double>& b,
                    std::vector<double>& x, const cg_options& options) {
-    const std::vector<double> diagonal =
-        options.preconditioner == preconditioner_kind::none ? std::vector<double>{}
-                                                            : a.diagonal();
+    const std::vector<double> diagonal = a.diagonal();
     const cg_axis sys{a.values(), {}, diagonal, b, x};
     axis_state axis[1];
     axis[0].sys = &sys;

@@ -1,7 +1,9 @@
 // Preconditioned conjugate-gradient solver for the symmetric positive
 // definite systems arising from the quadratic placement objective
 // (section 4.1 of the paper: "solve equation (3) by using a conjugate
-// gradient approach with preconditioning").
+// gradient approach with preconditioning"). The preconditioner is
+// Jacobi (diagonal scaling), which suits the diagonally dominant
+// placement systems.
 //
 // The placer always solves two systems at once — the x and y axes, whose
 // matrices share one sparsity pattern — each with an optional diagonal
@@ -21,17 +23,9 @@
 
 namespace gpf {
 
-enum class preconditioner_kind {
-    none,   ///< plain CG
-    jacobi, ///< diagonal scaling (default; robust for diagonally dominant C)
-    ssor,   ///< symmetric successive over-relaxation sweep
-};
-
 struct cg_options {
     double tolerance = 1e-8;          ///< relative residual ||r||/||b|| target
     std::size_t max_iterations = 0;   ///< 0 → 10 * n
-    preconditioner_kind preconditioner = preconditioner_kind::jacobi;
-    double ssor_omega = 1.2;          ///< relaxation factor for ssor
     /// Absolute step bound: an axis also stops as converged once an update
     /// αp moved no variable by more than this (0: off, the residual test
     /// alone). The placer's wire relaxation sets it to a fraction of a
@@ -53,13 +47,12 @@ struct cg_axis {
     /// s on rows [0, shift.size()); later rows are unshifted (empty: A
     /// alone). GORDIAN anchors only the movable prefix of its variables.
     std::span<const double> shift;
-    /// diag(A) + s, the Jacobi/SSOR diagonal (entries must be positive);
-    /// may be empty with preconditioner_kind::none.
+    /// diag(A) + s, the Jacobi diagonal (entries must be positive).
     std::span<const double> diagonal;
     std::span<const double> b;
-    /// The explicit starting guess — warm-started solves pass the previous
-    /// solution (or displacement) — holding the solution on return. Any
-    /// other size than the system's is reset to zeros.
+    /// The explicit starting guess — wire relaxation passes the current
+    /// positions — holding the solution on return. Any other size than
+    /// the system's is reset to zeros.
     std::vector<double>& x;
 };
 
@@ -73,8 +66,7 @@ std::pair<cg_result, cg_result> cg_solve_pair(const csr_pattern& pattern,
                                               const cg_options& options = {});
 
 /// Solve A x = b for a single matrix (the same core, one axis). A must be
-/// symmetric positive (semi-)definite with positive diagonal for the
-/// jacobi/ssor preconditioners.
+/// symmetric positive (semi-)definite with a positive diagonal.
 cg_result cg_solve(const csr_matrix& a, const std::vector<double>& b,
                    std::vector<double>& x, const cg_options& options = {});
 

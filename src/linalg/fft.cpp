@@ -3,7 +3,6 @@
 #include <array>
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <mutex>
 
@@ -40,11 +39,6 @@ struct fft_plan {
     std::vector<std::complex<double>> forward;
     std::vector<std::complex<double>> inverse;
 };
-
-// Fused-forward toggle: -1 = unresolved, else 0/1. Resolved once from
-// GPF_FUSED on first query (any value but "0" enables); set_spectral_fused
-// overrides it at any point between convolutions.
-std::atomic<int> g_fused{-1};
 
 // Plan cache counters (see fft_plan_cache_stats in the header). Relaxed:
 // the totals are exact, ordering between counters is not promised.
@@ -403,20 +397,6 @@ double fft_flops(std::size_t n, std::size_t count = 1) {
 
 } // namespace
 
-bool spectral_fused_enabled() {
-    int v = g_fused.load(std::memory_order_relaxed);
-    if (v < 0) {
-        const char* env = std::getenv("GPF_FUSED");
-        v = (env != nullptr && env[0] == '0' && env[1] == '\0') ? 0 : 1;
-        g_fused.store(v, std::memory_order_relaxed);
-    }
-    return v != 0;
-}
-
-void set_spectral_fused(bool on) {
-    g_fused.store(on ? 1 : 0, std::memory_order_relaxed);
-}
-
 fft_cache_stats fft_plan_cache_stats() {
     fft_cache_stats s;
     s.hits = g_cache_hits.load(std::memory_order_relaxed);
@@ -568,9 +548,15 @@ spectral_convolver::spectral_convolver(std::size_t n0, std::size_t n1,
     //   Kx[i,j] = (F[i,j] + conj(F[-i,-j])) / 2
     //   Ky[i,j] = (F[i,j] - conj(F[-i,-j])) / 2i .
     // Only columns 0..p1/2 are kept; convolve_pair() never touches a
-    // full-width spectrum again.
-    spec_x_.resize(p0_ * hw_);
-    spec_y_.resize(p0_ * hw_);
+    // full-width spectrum again. They are stored batch-interleaved for
+    // the column sweep: batch b covers columns [b*kColBatch, b*kColBatch
+    // + kColBatch), and element (row i, lane c) lives at ((b * p0 + i) *
+    // kColBatch + c) — the lockstep layout the batched column transform
+    // works in. Lanes past the half-spectrum width stay zero (their
+    // products are discarded).
+    const std::size_t nbatch = (hw_ + kColBatch - 1) / kColBatch;
+    spec_xb_.assign(nbatch * kColBatch * p0_, {0.0, 0.0});
+    spec_yb_.assign(nbatch * kColBatch * p0_, {0.0, 0.0});
     for (std::size_t i = 0; i < p0_; ++i) {
         const std::size_t mi = (p0_ - i) & (p0_ - 1);
         for (std::size_t j = 0; j < hw_; ++j) {
@@ -579,29 +565,10 @@ spectral_convolver::spectral_convolver(std::size_t n0, std::size_t n1,
             const std::complex<double> b = packed[mi * p1_ + mj];
             const double ar = a.real(), ai = a.imag();
             const double br = b.real(), bi = -b.imag(); // conj(F[-i,-j])
-            spec_x_[i * hw_ + j] = {0.5 * (ar + br), 0.5 * (ai + bi)};
-            spec_y_[i * hw_ + j] = {0.5 * (ai - bi), -0.5 * (ar - br)};
-        }
-    }
-
-    // Batch-interleaved copies of the kernel spectra for the fused sweep:
-    // batch b covers columns [b*kColBatch, b*kColBatch + kColBatch), and
-    // element (row i, lane c) lives at ((b * p0 + i) * kColBatch + c) —
-    // the lockstep layout the batched column transform works in. Lanes
-    // past the half-spectrum width stay zero (their products are
-    // discarded). Same values as the row-major spec_x_/spec_y_ the staged
-    // path keeps using; the per-element product is bitwise identical.
-    const std::size_t nbatch = (hw_ + kColBatch - 1) / kColBatch;
-    spec_xb_.assign(nbatch * kColBatch * p0_, {0.0, 0.0});
-    spec_yb_.assign(nbatch * kColBatch * p0_, {0.0, 0.0});
-    for (std::size_t b = 0; b < nbatch; ++b) {
-        const std::size_t j0 = b * kColBatch;
-        const std::size_t jn = std::min(hw_ - j0, kColBatch);
-        for (std::size_t i = 0; i < p0_; ++i) {
-            for (std::size_t c = 0; c < jn; ++c) {
-                spec_xb_[(b * p0_ + i) * kColBatch + c] = spec_x_[i * hw_ + j0 + c];
-                spec_yb_[(b * p0_ + i) * kColBatch + c] = spec_y_[i * hw_ + j0 + c];
-            }
+            const std::size_t at =
+                ((j / kColBatch) * p0_ + i) * kColBatch + j % kColBatch;
+            spec_xb_[at] = {0.5 * (ar + br), 0.5 * (ai + bi)};
+            spec_yb_[at] = {0.5 * (ai - bi), -0.5 * (ar - br)};
         }
     }
 
@@ -622,12 +589,11 @@ spectral_convolver::spectral_convolver(std::size_t n0, std::size_t n1,
         }
     }
 
-    // Row-spectrum scratch: the r2c row pass rewrites rows 0..n0-1 every
-    // call, while the p0 - n0 padding rows stay zero forever — no
-    // full-grid refill per convolution.
-    row_spec_.assign(p0_ * hw_, {0.0, 0.0});
-    spec_d_.resize(p0_ * hw_);
-    spec_q_.resize(p0_ * hw_);
+    // Half-spectrum scratch of the n0 data rows: the column sweep writes
+    // the zero padding band straight into its batch scratch.
+    row_spec_.resize(n0_ * hw_);
+    spec_d_.resize(n0_ * hw_);
+    spec_q_.resize(n0_ * hw_);
 }
 
 void spectral_convolver::convolve_pair(const std::vector<double>& data,
@@ -658,30 +624,118 @@ void spectral_convolver::run(const double* data, bool affine, double shift,
     out_x.resize(n0_ * n1_);
     out_y.resize(n0_ * n1_);
 
-    // Forward r2c row pass: packed-pair transforms of the n0 data rows
-    // into the persistent row-spectrum scratch (padding rows are already
-    // zero). The affine pack — (d + shift) * scale, the density map's
-    // (demand - supply) * bin_area source term — rides the gather, so the
-    // source grid is never materialized.
-    const auto row_pass = [&](std::complex<double>* out) {
+    // The forward column transform, the pointwise kernel product and both
+    // inverse column transforms run as ONE sweep per kColBatch-column
+    // batch, entirely in L2-resident scratch. The batch is held in
+    // lockstep-interleaved layout (row i of all kColBatch columns
+    // adjacent) and transformed by fft_batched_passes, so each column
+    // undergoes exactly a per-column transform's arithmetic — gather the
+    // n0 spectrum rows (+0.0 for the padding band), length-p0 forward
+    // FFT, the elementwise cmul_pair expression, two length-p0 inverse
+    // FFTs — and columns are independent, so results are bitwise
+    // identical at any thread count and on every ISA. Rows >= n0 of the
+    // product spectra are never read by the inverse row pass, so only
+    // the n0 output rows scatter back.
+    //
+    // Sub-phase attribution: batches time their forward/pointwise/
+    // inverse sections into per-batch slots (no contention) which the
+    // driving thread folds into the profiler after the join — the
+    // profiler itself is never touched from a worker. The folded seconds
+    // are summed across workers, i.e. CPU seconds; on the single-threaded
+    // perf legs they equal wall clock.
+    profiler& prof = profiler::instance();
+    const bool profiling = prof.enabled();
+    double t_rows_fwd = 0.0, t_rows_inv = 0.0;
+    {
+        // Forward r2c row pass: packed-pair transforms of the n0 data rows.
+        // The affine pack — (d + shift) * scale, the density map's
+        // (demand - supply) * bin_area source term — rides the gather, so
+        // the source grid is never materialized.
+        stopwatch sw;
         if (affine) {
             r2c_rows_load(
                 [data, shift, scale, w = n1_](std::size_t i, std::size_t j) {
                     return (data[i * w + j] + shift) * scale;
                 },
-                n0_, n1_, p1_, out, row_plan, 0, 0);
+                n0_, n1_, p1_, row_spec_.data(), row_plan, 0, 0);
         } else {
-            r2c_rows(data, n0_, n1_, p1_, out, row_plan);
+            r2c_rows(data, n0_, n1_, p1_, row_spec_.data(), row_plan);
         }
-    };
-
+        if (profiling) t_rows_fwd = sw.elapsed_seconds();
+    }
+    const std::size_t batches = (hw_ + kColBatch - 1) / kColBatch;
+    std::vector<std::array<double, 3>> batch_s(profiling ? batches : 0);
+    const std::uint32_t* const brev = col_plan.bitrev.data();
+    parallel_for_chunks(batches, [&](std::size_t begin, std::size_t end) {
+        std::vector<std::complex<double>> sd(kColBatch * p0_);
+        std::vector<std::complex<double>> sq(kColBatch * p0_);
+        const simd_kernels& kern = simd();
+        for (std::size_t b = begin; b < end; ++b) {
+            const std::size_t j0 = b * kColBatch;
+            const std::size_t jn = std::min(hw_ - j0, kColBatch);
+            stopwatch sw;
+            double t_fwd = 0.0, t_mul = 0.0;
+            // Gather through the bit-reversal permutation (the
+            // batched passes take pre-permuted input); tail-batch
+            // lanes >= jn and the zero padding band write +0.0.
+            for (std::size_t i = 0; i < n0_; ++i) {
+                const std::complex<double>* row = row_spec_.data() + i * hw_ + j0;
+                std::complex<double>* g = sd.data() + kColBatch * brev[i];
+                std::size_t c = 0;
+                for (; c < jn; ++c) g[c] = row[c];
+                for (; c < kColBatch; ++c) g[c] = {0.0, 0.0};
+            }
+            for (std::size_t i = n0_; i < p0_; ++i) {
+                std::complex<double>* g = sd.data() + kColBatch * brev[i];
+                for (std::size_t c = 0; c < kColBatch; ++c) g[c] = {0.0, 0.0};
+            }
+            fft_batched_passes(sd.data(), p0_, kColBatch, false, col_plan,
+                               col_tw4_fwd_.data());
+            if (profiling) t_fwd = sw.elapsed_seconds();
+            kern.cmul_pair(sd.data(), sq.data(),
+                           spec_xb_.data() + b * kColBatch * p0_,
+                           spec_yb_.data() + b * kColBatch * p0_,
+                           kColBatch * p0_);
+            if (profiling) t_mul = sw.elapsed_seconds();
+            // Inverse: bit-reverse the rows in place (lane-group
+            // swaps), then the batched stages + 1/p0 scale.
+            for (std::size_t i = 1; i < p0_; ++i) {
+                const std::size_t j = brev[i];
+                if (i < j) {
+                    for (std::size_t c = 0; c < kColBatch; ++c) {
+                        std::swap(sd[kColBatch * i + c], sd[kColBatch * j + c]);
+                        std::swap(sq[kColBatch * i + c], sq[kColBatch * j + c]);
+                    }
+                }
+            }
+            fft_batched_passes(sd.data(), p0_, kColBatch, true, col_plan,
+                               col_tw4_inv_.data());
+            fft_batched_passes(sq.data(), p0_, kColBatch, true, col_plan,
+                               col_tw4_inv_.data());
+            for (std::size_t i = 0; i < n0_; ++i) {
+                std::complex<double>* xr = spec_d_.data() + i * hw_ + j0;
+                std::complex<double>* yr = spec_q_.data() + i * hw_ + j0;
+                const std::complex<double>* gd = sd.data() + kColBatch * i;
+                const std::complex<double>* gq = sq.data() + kColBatch * i;
+                for (std::size_t c = 0; c < jn; ++c) {
+                    xr[c] = gd[c];
+                    yr[c] = gq[c];
+                }
+            }
+            if (profiling) {
+                batch_s[b] = {t_fwd, t_mul - t_fwd,
+                              sw.elapsed_seconds() - t_mul};
+            }
+        }
+    });
     // Inverse row pass: both product spectra are Hermitian (real ⊛ real),
     // so the row pass rides both results through one packed complex
     // inverse per output row — conj-mirrored to full width as z = X + i·Y,
     // so Re = data ⊛ kx, Im = data ⊛ ky. Only the n0 rows the output
     // reads are assembled (the cyclic grid puts output (i, j) at padded
     // position (i, j), no offset).
-    const auto inverse_rows = [&] {
+    {
+        stopwatch sw;
         parallel_for_chunks(n0_, [&](std::size_t begin, std::size_t end) {
             std::vector<std::complex<double>> row(p1_);
             for (std::size_t i = begin; i < end; ++i) {
@@ -705,155 +759,21 @@ void spectral_convolver::run(const double* data, bool affine, double shift,
                 }
             }
         });
-    };
-
-    if (!spectral_fused_enabled()) {
-        // Staged path (PR-9 arithmetic, kept verbatim behind the option):
-        // forward column pass over the hw retained columns, one cmul_pair
-        // sweep over the whole half grid, two inverse column passes.
-        {
-            kernel_timer timer(profile_kernel::fft_forward, fwd_flops);
-            row_pass(row_spec_.data());
-            fft_cols_strided(row_spec_.data(), spec_d_.data(), p0_, hw_, 0, hw_,
-                             false, col_plan, n0_);
+        if (profiling) t_rows_inv = sw.elapsed_seconds();
+    }
+    if (profiling) {
+        double s_fwd = 0.0, s_mul = 0.0, s_inv = 0.0;
+        for (const auto& b : batch_s) {
+            s_fwd += b[0];
+            s_mul += b[1];
+            s_inv += b[2];
         }
-        {
-            kernel_timer timer(profile_kernel::fft_pointwise, mul_flops);
-            std::complex<double>* const w = spec_d_.data();
-            std::complex<double>* const q = spec_q_.data();
-            const std::complex<double>* const sx = spec_x_.data();
-            const std::complex<double>* const sy = spec_y_.data();
-            const simd_kernels& kern = simd();
-            parallel_for_chunks(
-                spec_d_.size(),
-                [&](std::size_t begin, std::size_t end) {
-                    kern.cmul_pair(w + begin, q + begin, sx + begin, sy + begin,
-                                   end - begin);
-                },
-                /*grain=*/4096);
-        }
-        {
-            kernel_timer timer(profile_kernel::fft_inverse, inv_flops);
-            fft_cols_strided(spec_d_.data(), spec_d_.data(), p0_, hw_, 0, hw_,
-                             true, col_plan);
-            fft_cols_strided(spec_q_.data(), spec_q_.data(), p0_, hw_, 0, hw_,
-                             true, col_plan);
-            inverse_rows();
-        }
-    } else {
-        // Fused path: the forward column transform, the pointwise kernel
-        // product and both inverse column transforms run as ONE sweep per
-        // kColBatch-column batch, entirely in L2-resident scratch. The
-        // batch is held in lockstep-interleaved layout (row i of all
-        // kColBatch columns adjacent) and transformed by
-        // fft_batched_passes, so each column undergoes exactly the staged
-        // path's arithmetic sequence — gather the n0 spectrum rows (+0.0
-        // for the padding band, bitwise the stored zeros), length-p0
-        // forward FFT, the elementwise cmul_pair expression, two
-        // length-p0 inverse FFTs — and columns are independent, so
-        // results are bitwise identical to the staged path at any thread
-        // count and on every ISA. Rows >= n0 of the product spectra are
-        // never read by the inverse row pass, so only the n0 output rows
-        // scatter back.
-        //
-        // Sub-phase attribution: batches time their forward/pointwise/
-        // inverse sections into per-batch slots (no contention) which the
-        // driving thread folds into the profiler after the join — the
-        // profiler itself is never touched from a worker. The folded
-        // seconds are summed across workers, i.e. CPU seconds; on the
-        // single-threaded perf legs they equal wall clock.
-        profiler& prof = profiler::instance();
-        const bool profiling = prof.enabled();
-        double t_rows_fwd = 0.0, t_rows_inv = 0.0;
-        {
-            stopwatch sw;
-            row_pass(row_spec_.data());
-            if (profiling) t_rows_fwd = sw.elapsed_seconds();
-        }
-        const std::size_t batches = (hw_ + kColBatch - 1) / kColBatch;
-        std::vector<std::array<double, 3>> batch_s(profiling ? batches : 0);
-        const std::uint32_t* const brev = col_plan.bitrev.data();
-        parallel_for_chunks(batches, [&](std::size_t begin, std::size_t end) {
-            std::vector<std::complex<double>> sd(kColBatch * p0_);
-            std::vector<std::complex<double>> sq(kColBatch * p0_);
-            const simd_kernels& kern = simd();
-            for (std::size_t b = begin; b < end; ++b) {
-                const std::size_t j0 = b * kColBatch;
-                const std::size_t jn = std::min(hw_ - j0, kColBatch);
-                stopwatch sw;
-                double t_fwd = 0.0, t_mul = 0.0;
-                // Gather through the bit-reversal permutation (the
-                // batched passes take pre-permuted input); tail-batch
-                // lanes >= jn and the zero padding band write +0.0.
-                for (std::size_t i = 0; i < n0_; ++i) {
-                    const std::complex<double>* row = row_spec_.data() + i * hw_ + j0;
-                    std::complex<double>* g = sd.data() + kColBatch * brev[i];
-                    std::size_t c = 0;
-                    for (; c < jn; ++c) g[c] = row[c];
-                    for (; c < kColBatch; ++c) g[c] = {0.0, 0.0};
-                }
-                for (std::size_t i = n0_; i < p0_; ++i) {
-                    std::complex<double>* g = sd.data() + kColBatch * brev[i];
-                    for (std::size_t c = 0; c < kColBatch; ++c) g[c] = {0.0, 0.0};
-                }
-                fft_batched_passes(sd.data(), p0_, kColBatch, false, col_plan,
-                                   col_tw4_fwd_.data());
-                if (profiling) t_fwd = sw.elapsed_seconds();
-                kern.cmul_pair(sd.data(), sq.data(),
-                               spec_xb_.data() + b * kColBatch * p0_,
-                               spec_yb_.data() + b * kColBatch * p0_,
-                               kColBatch * p0_);
-                if (profiling) t_mul = sw.elapsed_seconds();
-                // Inverse: bit-reverse the rows in place (lane-group
-                // swaps), then the batched stages + 1/p0 scale.
-                for (std::size_t i = 1; i < p0_; ++i) {
-                    const std::size_t j = brev[i];
-                    if (i < j) {
-                        for (std::size_t c = 0; c < kColBatch; ++c) {
-                            std::swap(sd[kColBatch * i + c], sd[kColBatch * j + c]);
-                            std::swap(sq[kColBatch * i + c], sq[kColBatch * j + c]);
-                        }
-                    }
-                }
-                fft_batched_passes(sd.data(), p0_, kColBatch, true, col_plan,
-                                   col_tw4_inv_.data());
-                fft_batched_passes(sq.data(), p0_, kColBatch, true, col_plan,
-                                   col_tw4_inv_.data());
-                for (std::size_t i = 0; i < n0_; ++i) {
-                    std::complex<double>* xr = spec_d_.data() + i * hw_ + j0;
-                    std::complex<double>* yr = spec_q_.data() + i * hw_ + j0;
-                    const std::complex<double>* gd = sd.data() + kColBatch * i;
-                    const std::complex<double>* gq = sq.data() + kColBatch * i;
-                    for (std::size_t c = 0; c < jn; ++c) {
-                        xr[c] = gd[c];
-                        yr[c] = gq[c];
-                    }
-                }
-                if (profiling) {
-                    batch_s[b] = {t_fwd, t_mul - t_fwd,
-                                  sw.elapsed_seconds() - t_mul};
-                }
-            }
-        });
-        {
-            stopwatch sw;
-            inverse_rows();
-            if (profiling) t_rows_inv = sw.elapsed_seconds();
-        }
-        if (profiling) {
-            double s_fwd = 0.0, s_mul = 0.0, s_inv = 0.0;
-            for (const auto& b : batch_s) {
-                s_fwd += b[0];
-                s_mul += b[1];
-                s_inv += b[2];
-            }
-            prof.add_kernel_sample(profile_kernel::fft_forward,
-                                   t_rows_fwd + s_fwd, fwd_flops);
-            prof.add_kernel_sample(profile_kernel::fft_pointwise, s_mul,
-                                   mul_flops);
-            prof.add_kernel_sample(profile_kernel::fft_inverse,
-                                   s_inv + t_rows_inv, inv_flops);
-        }
+        prof.add_kernel_sample(profile_kernel::fft_forward,
+                               t_rows_fwd + s_fwd, fwd_flops);
+        prof.add_kernel_sample(profile_kernel::fft_pointwise, s_mul,
+                               mul_flops);
+        prof.add_kernel_sample(profile_kernel::fft_inverse,
+                               s_inv + t_rows_inv, inv_flops);
     }
 
     // Injection site (util/fault.hpp): a corrupted frequency-domain

@@ -79,19 +79,6 @@ struct fft_cache_stats {
 /// Snapshot of the plan-cache counters since process start.
 fft_cache_stats fft_plan_cache_stats();
 
-/// True when spectral_convolver runs its fused forward path (the default):
-/// the forward column transform, the pointwise kernel product and both
-/// inverse column transforms run as one cache-resident sweep per column
-/// batch, and the affine density pack happens inside the r2c row gather.
-/// The staged (PR-9) path remains available — GPF_FUSED=0 or
-/// set_spectral_fused(false) — and produces bitwise identical results;
-/// the equivalence property suite locks that in.
-bool spectral_fused_enabled();
-
-/// Override the fused-forward toggle (tests/tools). Must not race a
-/// running convolution, same contract as simd_set_isa().
-void set_spectral_fused(bool on);
-
 /// Packed real-to-complex 2-D FFT of a row-major n0 x n1 real array (both
 /// powers of two). Returns the half spectrum: n0 x (n1/2 + 1) complex
 /// values, row-major with row stride n1/2 + 1. The dropped columns are
@@ -140,20 +127,20 @@ std::vector<double> convolve_2d(const std::vector<double>& data, std::size_t n0,
 ///
 /// convolve_pair() then runs entirely on the half grid:
 ///   - forward r2c of the real data: packed-pair row transforms (two real
-///     rows per complex length-p1 FFT) over the n0 data rows only, then a
-///     column pass over just the p1/2 + 1 retained columns,
-///   - one dual Hermitian pointwise product (SIMD cmul_pair): D·Kx and
-///     D·Ky in a single sweep over the shared data spectrum,
-///   - c2r inverse: a half-width column pass per product, then one packed
-///     complex row inverse per *output* row (n0 rows, not p0), with
-///     Re = data ⊛ kernel_x and Im = data ⊛ kernel_y riding the two
-///     channels.
+///     rows per complex length-p1 FFT) over the n0 data rows only,
+///   - per batch of adjacent retained columns (p1/2 + 1 in all), one
+///     cache-resident sweep: the forward column transform, one dual
+///     Hermitian pointwise product (SIMD cmul_pair: D·Kx and D·Ky from
+///     one read of the data spectrum) and both inverse column transforms,
+///   - one packed complex row inverse per *output* row (n0 rows, not
+///     p0), with Re = data ⊛ kernel_x and Im = data ⊛ kernel_y riding
+///     the two channels.
 /// Relative to the PR-8 full-spectrum path this removes ~30% of the
 /// transform work and halves the pointwise memory traffic.
 ///
-/// All scratch buffers are reused across calls; the padding rows of the
-/// row-spectrum scratch are zeroed once at construction and never
-/// rewritten. The arithmetic schedule depends only on (n0, n1), so
+/// All scratch buffers are reused across calls and hold only the n0 data
+/// rows; the zero padding band is written straight into each column
+/// batch's transform scratch. The arithmetic schedule depends only on (n0, n1), so
 /// results are bitwise identical for any thread count, and a fresh
 /// convolver produces bitwise identical output to a reused one — the
 /// cache contract tests/test_transform_cache.cpp locks in.
@@ -191,15 +178,13 @@ private:
     std::size_t n0_, n1_; ///< data shape
     std::size_t p0_, p1_; ///< cyclic transform shape (powers of two)
     std::size_t hw_;      ///< half-spectrum width, p1/2 + 1
-    std::vector<std::complex<double>> spec_x_;   ///< Kx half spectrum, cached
-    std::vector<std::complex<double>> spec_y_;   ///< Ky half spectrum, cached
-    std::vector<std::complex<double>> spec_xb_;  ///< Kx, batch-interleaved (fused)
-    std::vector<std::complex<double>> spec_yb_;  ///< Ky, batch-interleaved (fused)
+    std::vector<std::complex<double>> spec_xb_;  ///< Kx half spectrum, batch-interleaved
+    std::vector<std::complex<double>> spec_yb_;  ///< Ky half spectrum, batch-interleaved
     std::vector<std::complex<double>> col_tw4_fwd_; ///< column twiddles ×4 lanes
     std::vector<std::complex<double>> col_tw4_inv_; ///< column twiddles ×4 lanes
-    std::vector<std::complex<double>> row_spec_; ///< r2c row spectra scratch
-    std::vector<std::complex<double>> spec_d_;   ///< data spectrum → D·Kx
-    std::vector<std::complex<double>> spec_q_;   ///< D·Ky product spectrum
+    std::vector<std::complex<double>> row_spec_; ///< r2c row spectra, n0 rows
+    std::vector<std::complex<double>> spec_d_;   ///< D·Kx, the n0 output rows
+    std::vector<std::complex<double>> spec_q_;   ///< D·Ky, the n0 output rows
 };
 
 } // namespace gpf

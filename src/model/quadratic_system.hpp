@@ -70,7 +70,7 @@ public:
     const std::vector<double>& rhs_y() const { return by_; }
 
     /// Main diagonals of the x/y matrices, cached by assemble() so
-    /// per-solve callers (hold-and-move, wire relaxation, Jacobi/SSOR
+    /// per-solve callers (hold-and-move, wire relaxation, Jacobi
     /// preconditioning) never walk the pattern for them.
     const std::vector<double>& diagonal_x() const;
     const std::vector<double>& diagonal_y() const;

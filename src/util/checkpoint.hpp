@@ -146,7 +146,9 @@ void commit_file(const std::string& temp, const std::string& target,
 
 // --- checkpoint envelope ----------------------------------------------------
 
-inline constexpr std::uint32_t checkpoint_format_version = 1;
+/// Version 2 dropped the two warm-start displacement vectors from the
+/// placer payload; a version-1 file fails as version skew.
+inline constexpr std::uint32_t checkpoint_format_version = 2;
 
 struct checkpoint_blob {
     std::uint64_t digest = 0; ///< caller-defined state digest

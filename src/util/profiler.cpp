@@ -44,7 +44,6 @@ const char* profile_kernel_name(profile_kernel kernel) {
         case profile_kernel::fft_pointwise: return "fft_mul";
         case profile_kernel::fft_inverse: return "fft_inv";
         case profile_kernel::stamp: return "stamp";
-        case profile_kernel::readback: return "readback";
         case profile_kernel::count_: break;
     }
     return "?";

@@ -57,17 +57,15 @@ const char* cg_stop_name(cg_stop stop);
 
 /// Sub-phase kernels of the density→force pipeline. Unlike phases,
 /// kernel samples also carry a flop count, so trace lines and summaries
-/// can report effective GFLOP/s per kernel. Together the five cover the
-/// whole pipeline: stamp → fft_fwd → fft_mul → fft_inv, with readback
-/// only appearing on the unfused (GPF_FUSED=0) path — the fused forward
-/// path folds the source-grid read-back into the row transforms, so a
-/// zero readback total in a report is the fusion win made visible.
+/// can report effective GFLOP/s per kernel. Together the four cover the
+/// whole pipeline: stamp → fft_fwd → fft_mul → fft_inv (the source term
+/// is packed inside the forward row transforms, so there is no separate
+/// read-back step).
 enum class profile_kernel : std::size_t {
     fft_forward = 0, ///< forward transforms (packed data rows + columns)
     fft_pointwise,   ///< complex pointwise product against kernel spectra
     fft_inverse,     ///< inverse transforms
     stamp,           ///< density row-run stamping (add_rects bulk path)
-    readback,        ///< staged source-grid assembly (density → src grid)
     count_,
 };
 

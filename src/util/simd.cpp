@@ -1,6 +1,6 @@
 // SIMD dispatcher + scalar reference kernels. This translation unit is
 // compiled with -ffp-contract=off (src/CMakeLists.txt): the scalar
-// kernels are the reference the vector ISAs must match bitwise, so the
+// kernels are the reference the AVX2 table must match bitwise, so the
 // compiler must not fuse their multiply-adds on targets (aarch64) where
 // contraction is the default.
 #include "util/simd.hpp"
@@ -240,7 +240,7 @@ const simd_kernels* resolve_from_environment() {
     if (!req.known) {
         log(log_level::warning)
             << "GPF_SIMD='" << env
-            << "' is not scalar|avx2|avx512|neon|native; using scalar kernels";
+            << "' is not scalar|avx2|native; using scalar kernels";
         return &scalar_table;
     }
     if (const simd_kernels* table = simd_kernels_for(req.isa)) return table;
@@ -265,8 +265,6 @@ simd_env_request simd_parse_env(const char* value) {
     } table[] = {
         {"scalar", simd_isa::scalar},
         {"avx2", simd_isa::avx2},
-        {"avx512", simd_isa::avx512},
-        {"neon", simd_isa::neon},
     };
     for (const auto& entry : table) {
         if (std::strcmp(value, entry.name) == 0) {
@@ -282,16 +280,12 @@ const simd_kernels* simd_kernels_for(simd_isa isa) {
     switch (isa) {
         case simd_isa::scalar: return &scalar_table;
         case simd_isa::avx2: return detail::simd_avx2_table();
-        case simd_isa::neon: return detail::simd_neon_table();
-        case simd_isa::avx512: return detail::simd_avx512_table();
     }
     return nullptr;
 }
 
 simd_isa simd_detected_isa() {
-    if (detail::simd_avx512_table() != nullptr) return simd_isa::avx512;
     if (detail::simd_avx2_table() != nullptr) return simd_isa::avx2;
-    if (detail::simd_neon_table() != nullptr) return simd_isa::neon;
     return simd_isa::scalar;
 }
 
@@ -318,8 +312,6 @@ const char* simd_isa_name(simd_isa isa) {
     switch (isa) {
         case simd_isa::scalar: return "scalar";
         case simd_isa::avx2: return "avx2";
-        case simd_isa::neon: return "neon";
-        case simd_isa::avx512: return "avx512";
     }
     return "?";
 }

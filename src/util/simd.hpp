@@ -3,14 +3,14 @@
 // CG axpy/dot/SpMV row products (single and x/y-paired), and the bulk
 // density-grid accumulation.
 //
-// Dispatch model: one kernel table per instruction set (scalar always;
-// AVX2/AVX-512 when the translation units were compiled for x86 and the
-// CPU reports support; NEON on aarch64). The active table is selected
-// once, at first use, from the best supported ISA — overridable with the
-// GPF_SIMD environment variable (scalar | avx2 | avx512 | neon |
-// native). An unknown or unsupported request logs a warning and falls
-// back to scalar rather than aborting, so a pinned CI value stays safe
-// on any runner (simd_parse_env exposes the parse for tests).
+// Dispatch model: one kernel table per instruction set — scalar always,
+// AVX2 when its translation unit was compiled for x86-64 and the CPU
+// reports support. The active table is selected once, at first use, from
+// the best supported ISA — overridable with the GPF_SIMD environment
+// variable (scalar | avx2 | native). An unknown or unsupported request
+// logs a warning and falls back to scalar rather than aborting, so a
+// pinned CI value stays safe on any runner (simd_parse_env exposes the
+// parse for tests). Other architectures run the scalar table.
 //
 // Determinism contract (the load-bearing part): every kernel produces
 // BITWISE identical results on every ISA, so placements are reproducible
@@ -27,9 +27,9 @@
 //     i ≡ l (mod 4) over the 4-aligned prefix, lanes merge as
 //     (l0+l2)+(l1+l3), and the tail is added serially — the same
 //     slab-and-fixed-merge discipline as deterministic_sum
-//     (util/thread_pool.hpp). A 2-lane ISA (NEON) emulates the 4-lane
-//     shape with two vector accumulators; the scalar path runs four named
-//     accumulators. Identical trees, identical bits.
+//     (util/thread_pool.hpp). One 256-bit AVX2 accumulator is the four
+//     lanes; the scalar path runs four named accumulators. Identical
+//     trees, identical bits.
 //
 // Thread-safety: the active-table pointer is a single atomic. Resolution
 // happens once; simd_set_isa() (tests, tools) must not race a parallel
@@ -46,8 +46,6 @@ namespace gpf {
 enum class simd_isa {
     scalar = 0, ///< portable reference kernels (always available)
     avx2 = 1,   ///< x86-64 AVX2 (256-bit, 4 doubles)
-    neon = 2,   ///< aarch64 NEON (128-bit, 2 doubles; 4-lane emulated)
-    avx512 = 3, ///< x86-64 AVX-512F (512-bit, 8 doubles; 4-lane reductions)
 };
 
 /// Logical lane count of every reduction kernel, identical on all ISAs.
@@ -122,7 +120,7 @@ simd_isa simd_detected_isa();
 /// not supported by the CPU. Must not race a running parallel kernel.
 bool simd_set_isa(simd_isa isa);
 
-/// "scalar", "avx2", "neon", "avx512".
+/// "scalar" or "avx2".
 const char* simd_isa_name(simd_isa isa);
 
 /// Table for an explicit ISA, or nullptr when unsupported on this host.

@@ -1,14 +1,13 @@
-// Internal seam between the SIMD dispatcher (simd.cpp) and the per-ISA
-// kernel translation units. Each ISA TU always defines its accessor; it
-// returns nullptr when the TU was compiled without that instruction set
-// (wrong architecture, or GPF_ENABLE_SIMD=OFF), so the dispatcher can
-// probe availability with plain link-time calls — no weak symbols, no
+// Internal seam between the SIMD dispatcher (simd.cpp) and the AVX2
+// kernel translation unit. The AVX2 TU always defines its accessor; it
+// returns nullptr when the TU was compiled without AVX2 (wrong
+// architecture, or GPF_ENABLE_SIMD=OFF), so the dispatcher can probe
+// availability with a plain link-time call — no weak symbols, no
 // preprocessor coupling between translation units.
 //
-// The scalar reference kernels live here too: the AVX2/NEON TUs reuse
-// them verbatim for loop tails and for kernels they do not vectorize,
-// which keeps "bitwise identical to scalar" true by construction for
-// those slots. Everything in this header is compiled with
+// The scalar reference kernels live here too: the AVX2 TU reuses them
+// verbatim for loop tails, which keeps "bitwise identical to scalar"
+// true by construction there. Everything in this header is compiled with
 // -ffp-contract=off in every kernel TU (see src/CMakeLists.txt).
 #pragma once
 
@@ -18,12 +17,6 @@ namespace gpf::detail {
 
 /// nullptr unless compiled with AVX2 enabled (x86-64 only).
 const simd_kernels* simd_avx2_table();
-
-/// nullptr unless compiled with AVX-512F enabled (x86-64 only).
-const simd_kernels* simd_avx512_table();
-
-/// nullptr unless compiled for aarch64 NEON.
-const simd_kernels* simd_neon_table();
 
 // --- scalar reference kernels (definitions in simd.cpp) -------------------
 

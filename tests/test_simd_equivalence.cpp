@@ -1,10 +1,8 @@
 // Scalar↔SIMD bitwise-equivalence sweep (DESIGN.md §13): every dispatched
-// kernel must produce bitwise identical results under every available
-// GPF_SIMD tier (scalar, avx2, avx512, neon — whichever the host
-// supports), at any thread count, and with the fused forward path on or
-// off — the same reproducibility contract GPF_THREADS carries
-// (DESIGN.md §12, tests/test_parallel.cpp). Tiers the host cannot run
-// (e.g. avx512 on a non-AVX-512 CPU) are skipped, not failed.
+// kernel must produce bitwise identical results under the scalar and AVX2
+// GPF_SIMD tiers, at any thread count — the same reproducibility contract
+// GPF_THREADS carries (DESIGN.md §12, tests/test_parallel.cpp). A host
+// without AVX2 skips the AVX2 tier instead of failing.
 //
 // Runs in the property binary: each check is a pure function of its seed,
 // replayable with
@@ -54,19 +52,11 @@ void log_failing_seed(const char* check, std::uint64_t seed) {
 
 constexpr std::size_t kThreadSweep[] = {1, 2, 4, 8};
 
-/// Every kernel tier this host can actually run: scalar always, plus each
-/// vector ISA whose table is compiled in and supported by the CPU
-/// (simd_set_isa refuses unavailable tiers). On an AVX-512 host this is
-/// {scalar, avx2, avx512}; elsewhere the unavailable tiers drop out
-/// gracefully instead of failing.
+/// Every kernel tier this host can actually run: scalar always, plus AVX2
+/// when its table is compiled in and supported by the CPU.
 std::vector<simd_isa> available_isas() {
-    const simd_isa prev = simd_active_isa();
     std::vector<simd_isa> isas{simd_isa::scalar};
-    for (const simd_isa isa :
-         {simd_isa::avx2, simd_isa::avx512, simd_isa::neon}) {
-        if (simd_set_isa(isa)) isas.push_back(isa);
-    }
-    simd_set_isa(prev);
+    if (simd_kernels_for(simd_isa::avx2) != nullptr) isas.push_back(simd_isa::avx2);
     return isas;
 }
 
@@ -380,30 +370,14 @@ TEST_F(SimdEquivalence, DensityStampingBitwiseAcrossIsaAndThreads) {
     }
 }
 
-/// RAII: pins the fused-forward toggle, restoring the previous setting.
-class scoped_fused {
-public:
-    explicit scoped_fused(bool on) : prev_(spectral_fused_enabled()) {
-        set_spectral_fused(on);
-    }
-    ~scoped_fused() { set_spectral_fused(prev_); }
-
-private:
-    bool prev_;
-};
-
-// Deliberately not on the SimdEquivalence fixture: the fused-vs-staged
-// identity is worth checking even on scalar-only hosts (available_isas()
-// then sweeps {scalar} and the property still exercises both data paths).
-TEST(FusedEquivalence, FusedForwardBitwiseAcrossIsaAndThreads) {
+// Deliberately not on the SimdEquivalence fixture: the affine pack is a
+// data-path property, worth checking on scalar-only hosts too.
+TEST(SpectralAffine, MatchesExplicitGridBitwiseAcrossThreads) {
     const std::uint64_t seeds = seed_count();
     for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
         SCOPED_TRACE("seed=" + std::to_string(seed));
         prng rng(seed * 389 + 17);
-        // Non-power-of-two shape: the cyclic padding band is non-empty, so
-        // the fused sweep's zero-row pruning runs (and must keep ±0 signs
-        // out of the picture — the gathered zeros are the literal +0.0 the
-        // staged path stores).
+        // Non-power-of-two shape: the cyclic padding band is non-empty.
         const std::size_t n0 = 24, n1 = 40;
         const std::size_t k0 = 2 * n0 - 1, k1 = 2 * n1 - 1;
         std::vector<double> kx(k0 * k1), ky(k0 * k1), data(n0 * n1);
@@ -412,40 +386,28 @@ TEST(FusedEquivalence, FusedForwardBitwiseAcrossIsaAndThreads) {
         for (double& v : data) v = rng.next_range(0.0, 2.0);
         const double shift = -rng.next_range(0.0, 1.0);
         const double scale = rng.next_range(0.5, 2.0);
-
-        // Reference: staged (GPF_FUSED=0) path, scalar kernels, 1 thread.
-        std::vector<double> ref_x, ref_y, ref_ax, ref_ay;
-        {
-            scoped_config cfg(simd_isa::scalar, 1);
-            scoped_fused fused(false);
-            spectral_convolver conv(n0, n1, kx, ky);
-            conv.convolve_pair(data, ref_x, ref_y);
-            conv.convolve_pair_affine(data, shift, scale, ref_ax, ref_ay);
+        std::vector<double> packed(n0 * n1);
+        for (std::size_t i = 0; i < packed.size(); ++i) {
+            packed[i] = (data[i] + shift) * scale;
         }
-        for (const simd_isa isa : available_isas()) {
-            for (const std::size_t threads : kThreadSweep) {
-                for (const bool fused_on : {false, true}) {
-                    scoped_config cfg(isa, threads);
-                    scoped_fused fused(fused_on);
-                    spectral_convolver conv(n0, n1, kx, ky);
-                    std::vector<double> out_x, out_y, ax, ay;
-                    conv.convolve_pair(data, out_x, out_y);
-                    conv.convolve_pair_affine(data, shift, scale, ax, ay);
-                    if (!bitwise_equal(out_x, ref_x) ||
-                        !bitwise_equal(out_y, ref_y) ||
-                        !bitwise_equal(ax, ref_ax) || !bitwise_equal(ay, ref_ay)) {
-                        log_failing_seed("simd_fused_forward_bitwise", seed);
-                    }
-                    ASSERT_TRUE(bitwise_equal(out_x, ref_x) &&
-                                bitwise_equal(out_y, ref_y))
-                        << simd_isa_name(isa) << " threads=" << threads
-                        << " fused=" << fused_on;
-                    ASSERT_TRUE(bitwise_equal(ax, ref_ax) &&
-                                bitwise_equal(ay, ref_ay))
-                        << simd_isa_name(isa) << " threads=" << threads
-                        << " fused=" << fused_on << " (affine)";
-                }
-            }
+
+        // Reference: convolve_pair of the explicitly built grid, 1 thread.
+        std::vector<double> ref_x, ref_y;
+        {
+            scoped_config cfg(simd_active_isa(), 1);
+            spectral_convolver conv(n0, n1, kx, ky);
+            conv.convolve_pair(packed, ref_x, ref_y);
+        }
+        for (const std::size_t threads : kThreadSweep) {
+            scoped_config cfg(simd_active_isa(), threads);
+            spectral_convolver conv(n0, n1, kx, ky);
+            std::vector<double> out_x, out_y, ax, ay;
+            conv.convolve_pair(packed, out_x, out_y);
+            conv.convolve_pair_affine(data, shift, scale, ax, ay);
+            const bool ok = bitwise_equal(out_x, ref_x) && bitwise_equal(out_y, ref_y) &&
+                            bitwise_equal(ax, ref_x) && bitwise_equal(ay, ref_y);
+            if (!ok) log_failing_seed("spectral_affine_bitwise", seed);
+            ASSERT_TRUE(ok) << "threads=" << threads;
         }
     }
 }

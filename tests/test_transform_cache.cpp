@@ -4,7 +4,7 @@
 // density / calculator / workspace reuse — must be invisible in the
 // results. A reused object produces BITWISE identical output to a freshly
 // constructed one, and the full placer produces bitwise identical
-// placements with iteration_cache on or off, at any thread count.
+// placements at any thread count.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -149,57 +149,29 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TransformCacheProperties,
                          ::testing::Range<std::uint64_t>(1, 21));
 
 // ---------------------------------------------------------------------------
-// Full placer: cache on == cache off, bitwise, at every thread count
+// Full placer: bitwise identical at every thread count
 // ---------------------------------------------------------------------------
 
-placement run_placer(const netlist& nl, bool cache, bool warm_start,
-                     std::size_t threads) {
+placement run_placer(const netlist& nl, std::size_t threads) {
     scoped_threads guard(threads);
     placer_options opt;
     opt.max_iterations = 12;
-    opt.iteration_cache = cache;
-    opt.warm_start_cg = warm_start;
     placer p(nl, opt);
     return p.run();
 }
 
-TEST(TransformCache, PlacerBitwiseIdenticalCachedVsUncachedAcrossThreads) {
+TEST(TransformCache, PlacerBitwiseIdenticalAcrossThreads) {
     const netlist nl = test_circuit(400, 2024);
-    const placement reference = run_placer(nl, /*cache=*/true, false, 1);
+    const placement reference = run_placer(nl, 1);
     ASSERT_EQ(reference.size(), nl.num_cells());
     for (const std::size_t t : {1, 2, 4, 8}) {
-        for (const bool cache : {true, false}) {
-            const placement pl = run_placer(nl, cache, false, t);
-            ASSERT_EQ(pl.size(), reference.size());
-            for (std::size_t i = 0; i < pl.size(); ++i) {
-                ASSERT_EQ(pl[i].x, reference[i].x)
-                    << "cell " << i << " cache=" << cache << " threads=" << t;
-                ASSERT_EQ(pl[i].y, reference[i].y)
-                    << "cell " << i << " cache=" << cache << " threads=" << t;
-            }
+        const placement pl = run_placer(nl, t);
+        ASSERT_EQ(pl.size(), reference.size());
+        for (std::size_t i = 0; i < pl.size(); ++i) {
+            ASSERT_EQ(pl[i].x, reference[i].x) << "cell " << i << " threads=" << t;
+            ASSERT_EQ(pl[i].y, reference[i].y) << "cell " << i << " threads=" << t;
         }
     }
-}
-
-TEST(TransformCache, WarmStartIsDeterministicAndCloseToColdStart) {
-    const netlist nl = test_circuit(400, 515);
-    const placement cold = run_placer(nl, true, /*warm_start=*/false, 1);
-    const placement warm1 = run_placer(nl, true, /*warm_start=*/true, 1);
-    // Deterministic: any thread count reproduces the warm-start result
-    // bitwise (the trajectory differs from cold start, not between runs).
-    for (const std::size_t t : {2, 4, 8}) {
-        const placement warm = run_placer(nl, true, true, t);
-        ASSERT_EQ(warm.size(), warm1.size());
-        for (std::size_t i = 0; i < warm.size(); ++i) {
-            ASSERT_EQ(warm[i].x, warm1[i].x) << "cell " << i << " threads=" << t;
-            ASSERT_EQ(warm[i].y, warm1[i].y) << "cell " << i << " threads=" << t;
-        }
-    }
-    // Quality: warm starting accelerates CG, it must not change where the
-    // algorithm goes. Same iteration count, so compare final wirelength.
-    const double hpwl_cold = total_hpwl(nl, cold);
-    const double hpwl_warm = total_hpwl(nl, warm1);
-    EXPECT_NEAR(hpwl_warm, hpwl_cold, 0.05 * hpwl_cold);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,9 +8,13 @@
 // determinism contract (tests/test_parallel.cpp).
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "gpf.hpp"
@@ -188,6 +192,24 @@ void bm_refine_detailed(benchmark::State& state) {
     state.counters["moves"] = static_cast<double>(moves);
 }
 BENCHMARK(bm_refine_detailed)->Arg(4000)->Arg(20000)->Unit(benchmark::kMillisecond);
+
+/// The Bookshelf export of an unplaced design (full 17-digit coordinates)
+/// into a temp directory: formatting, the four atomic writes and their
+/// fsyncs.
+void bm_write_bookshelf(benchmark::State& state) {
+    const netlist nl = make_circuit(static_cast<std::size_t>(state.range(0)));
+    const placement pl = nl.initial_placement();
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("gpf_bm_write_" + std::to_string(::getpid()));
+    std::filesystem::create_directories(dir);
+    const std::string base = (dir / "design").string();
+    for (auto _ : state) {
+        write_bookshelf(nl, pl, base);
+    }
+    std::filesystem::remove_all(dir);
+}
+BENCHMARK(bm_write_bookshelf)->Arg(20000)->Arg(50000)->Unit(benchmark::kMillisecond);
 
 void bm_sta(benchmark::State& state) {
     const netlist nl = make_circuit(static_cast<std::size_t>(state.range(0)));

@@ -1,10 +1,11 @@
 #include "netlist/bookshelf.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <fstream>
-#include <iomanip>
 #include <limits>
 #include <sstream>
+#include <string_view>
 #include <unordered_map>
 
 #include "util/check.hpp"
@@ -120,6 +121,70 @@ std::string first_token(const std::string& value) {
     return token;
 }
 
+/// The writer's formatting buffer. Doubles print as printf's "%.17g" and
+/// counts as plain decimal, both through std::to_chars: the bytes an
+/// iostream at setprecision(17) prints (tests/test_bookshelf.cpp pins them
+/// against one), an exact round trip, and no dependence on the global or
+/// stream locale. Text accumulates in one reusable string that end_line()
+/// drains into the attached stream once it passes drain_bytes, so memory
+/// stays bounded whatever the design size.
+class text_buffer {
+public:
+    static constexpr std::size_t drain_bytes = std::size_t{64} << 10;
+
+    text_buffer() { text_.reserve(drain_bytes + 1024); }
+
+    text_buffer& operator<<(std::string_view s) {
+        text_.append(s);
+        return *this;
+    }
+    text_buffer& operator<<(char c) {
+        text_.push_back(c);
+        return *this;
+    }
+    text_buffer& operator<<(double v) {
+        char digits[32]; // "%.17g" needs at most 24: -d.dddddddddddddddde-ddd
+        const auto res =
+            std::to_chars(digits, digits + sizeof digits, v, std::chars_format::general, 17);
+        text_.append(digits, res.ptr);
+        return *this;
+    }
+    text_buffer& operator<<(std::size_t v) {
+        char digits[24];
+        const auto res = std::to_chars(digits, digits + sizeof digits, v);
+        text_.append(digits, res.ptr);
+        return *this;
+    }
+
+    void attach(std::ostream& out) { out_ = &out; }
+
+    /// Ends the current line; drains once the buffer holds drain_bytes.
+    void end_line() {
+        text_.push_back('\n');
+        if (text_.size() >= drain_bytes) drain();
+    }
+
+    void drain() {
+        out_->write(text_.data(), static_cast<std::streamsize>(text_.size()));
+        text_.clear();
+    }
+
+private:
+    std::string text_;
+    std::ostream* out_ = nullptr;
+};
+
+/// Writes one file through `buf`: an atomic_writer (temp file, fsync,
+/// rename) that `body` fills, drained and committed at the end.
+template <class Body>
+void write_file(const std::string& path, text_buffer& buf, Body&& body) {
+    atomic_writer writer(path);
+    buf.attach(writer.stream());
+    body();
+    buf.drain();
+    writer.commit();
+}
+
 } // namespace
 
 void write_bookshelf(const netlist& nl, const placement& pl,
@@ -143,79 +208,64 @@ void write_bookshelf(const netlist& nl, const placement& pl,
         }
     }
 
-    // --- .nodes -------------------------------------------------------------
-    {
-        atomic_writer writer(base_path + ".nodes");
-        std::ofstream& out = writer.stream();
-        out << std::setprecision(17);
-        out << "UCLA nodes 1.0\n";
-        out << "NumNodes : " << nl.num_cells() << "\n";
-        out << "NumTerminals : " << nl.num_fixed() << "\n";
-        for (const cell& c : nl.cells()) {
-            out << "  " << c.name << ' ' << c.width << ' ' << c.height;
-            if (c.fixed) out << " terminal";
-            out << '\n';
-        }
-        writer.commit();
-    }
+    text_buffer buf;
 
-    // --- .nets --------------------------------------------------------------
-    {
-        atomic_writer writer(base_path + ".nets");
-        std::ofstream& out = writer.stream();
-        out << std::setprecision(17);
-        out << "UCLA nets 1.0\n";
-        out << "NumNets : " << nl.num_nets() << "\n";
-        out << "NumPins : " << nl.num_pins() << "\n";
+    write_file(base_path + ".nodes", buf, [&] {
+        buf << "UCLA nodes 1.0\n";
+        buf << "NumNodes : " << nl.num_cells() << '\n';
+        buf << "NumTerminals : " << nl.num_fixed() << '\n';
+        for (const cell& c : nl.cells()) {
+            buf << "  " << c.name << ' ' << c.width << ' ' << c.height;
+            if (c.fixed) buf << " terminal";
+            buf.end_line();
+        }
+    });
+
+    write_file(base_path + ".nets", buf, [&] {
+        buf << "UCLA nets 1.0\n";
+        buf << "NumNets : " << nl.num_nets() << '\n';
+        buf << "NumPins : " << nl.num_pins() << '\n';
         for (const net& n : nl.nets()) {
-            out << "NetDegree : " << n.degree() << "  " << n.name << '\n';
+            buf << "NetDegree : " << n.degree() << "  " << n.name;
+            buf.end_line();
             for (std::size_t k = 0; k < n.pins.size(); ++k) {
                 const pin& p = n.pins[k];
                 const char dir = (k == n.driver) ? 'O' : 'I';
-                out << "  " << nl.cell_at(p.cell).name << ' ' << dir << " : "
-                    << p.offset.x << ' ' << p.offset.y << '\n';
+                buf << "  " << nl.cell_at(p.cell).name << ' ' << dir << " : "
+                    << p.offset.x << ' ' << p.offset.y;
+                buf.end_line();
             }
         }
-        writer.commit();
-    }
+    });
 
-    // --- .pl ----------------------------------------------------------------
-    {
-        atomic_writer writer(base_path + ".pl");
-        std::ofstream& out = writer.stream();
-        out << std::setprecision(17);
-        out << "UCLA pl 1.0\n";
+    write_file(base_path + ".pl", buf, [&] {
+        buf << "UCLA pl 1.0\n";
         for (cell_id i = 0; i < nl.num_cells(); ++i) {
             const cell& c = nl.cell_at(i);
             // Bookshelf stores the lower-left corner.
             const double x = pl[i].x - c.width / 2;
             const double y = pl[i].y - c.height / 2;
-            out << c.name << ' ' << x << ' ' << y << " : N";
-            if (c.fixed) out << " /FIXED";
-            out << '\n';
+            buf << c.name << ' ' << x << ' ' << y << " : N";
+            if (c.fixed) buf << " /FIXED";
+            buf.end_line();
         }
-        writer.commit();
-    }
+    });
 
-    // --- .scl ---------------------------------------------------------------
-    {
-        atomic_writer writer(base_path + ".scl");
-        std::ofstream& out = writer.stream();
-        out << std::setprecision(17);
+    write_file(base_path + ".scl", buf, [&] {
         const rect r = nl.region();
-        out << "UCLA scl 1.0\n";
-        out << "NumRows : " << nl.num_rows() << "\n";
+        buf << "UCLA scl 1.0\n";
+        buf << "NumRows : " << nl.num_rows() << '\n';
         for (std::size_t row = 0; row < nl.num_rows(); ++row) {
-            out << "CoreRow Horizontal\n";
-            out << "  Coordinate : " << (r.ylo + static_cast<double>(row) * nl.row_height())
-                << "\n";
-            out << "  Height : " << nl.row_height() << "\n";
-            out << "  SubrowOrigin : " << r.xlo << "  NumSites : "
-                << static_cast<std::size_t>(r.width()) << "\n";
-            out << "End\n";
+            buf << "CoreRow Horizontal\n";
+            buf << "  Coordinate : "
+                << (r.ylo + static_cast<double>(row) * nl.row_height()) << '\n';
+            buf << "  Height : " << nl.row_height() << '\n';
+            buf << "  SubrowOrigin : " << r.xlo << "  NumSites : "
+                << static_cast<std::size_t>(r.width()) << '\n';
+            buf << "End";
+            buf.end_line();
         }
-        writer.commit();
-    }
+    });
 }
 
 bookshelf_design read_bookshelf(const std::string& base_path) {

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
+#include <sstream>
 
 #include "test_paths.hpp"
+#include "core/placer.hpp"
+#include "legal/legalize.hpp"
 #include "netlist/bookshelf.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/stats.hpp"
@@ -349,6 +354,169 @@ TEST_F(MalformedBookshelfTest, PinLineBeforeNetDegreeThrows) {
           "UCLA nets 1.0\nNumNets : 1\nNumPins : 2\n"
           "  a O : 0 0\nNetDegree : 1  n0\n  b I : 0 0\n");
     EXPECT_THROW(read_bookshelf(base_), parse_error);
+}
+
+// --- byte-exact writer output --------------------------------------------
+// The writer formats through std::to_chars; these pin its bytes against an
+// iostream at setprecision(17), i.e. "%.17g".
+
+/// The four files written through iostreams in the writer's layouts, in
+/// .nodes, .nets, .pl, .scl order.
+std::vector<std::string> iostream_reference(const netlist& nl, const placement& pl) {
+    std::ostringstream nodes, nets, pls, scl;
+    for (std::ostringstream* out : {&nodes, &nets, &pls, &scl}) {
+        *out << std::setprecision(17);
+    }
+    nodes << "UCLA nodes 1.0\n";
+    nodes << "NumNodes : " << nl.num_cells() << "\n";
+    nodes << "NumTerminals : " << nl.num_fixed() << "\n";
+    for (const cell& c : nl.cells()) {
+        nodes << "  " << c.name << ' ' << c.width << ' ' << c.height;
+        if (c.fixed) nodes << " terminal";
+        nodes << '\n';
+    }
+    nets << "UCLA nets 1.0\n";
+    nets << "NumNets : " << nl.num_nets() << "\n";
+    nets << "NumPins : " << nl.num_pins() << "\n";
+    for (const net& n : nl.nets()) {
+        nets << "NetDegree : " << n.degree() << "  " << n.name << '\n';
+        for (std::size_t k = 0; k < n.pins.size(); ++k) {
+            const pin& p = n.pins[k];
+            const char dir = (k == n.driver) ? 'O' : 'I';
+            nets << "  " << nl.cell_at(p.cell).name << ' ' << dir << " : "
+                 << p.offset.x << ' ' << p.offset.y << '\n';
+        }
+    }
+    pls << "UCLA pl 1.0\n";
+    for (cell_id i = 0; i < nl.num_cells(); ++i) {
+        const cell& c = nl.cell_at(i);
+        pls << c.name << ' ' << (pl[i].x - c.width / 2) << ' ' << (pl[i].y - c.height / 2)
+            << " : N";
+        if (c.fixed) pls << " /FIXED";
+        pls << '\n';
+    }
+    const rect r = nl.region();
+    scl << "UCLA scl 1.0\n";
+    scl << "NumRows : " << nl.num_rows() << "\n";
+    for (std::size_t row = 0; row < nl.num_rows(); ++row) {
+        scl << "CoreRow Horizontal\n";
+        scl << "  Coordinate : " << (r.ylo + static_cast<double>(row) * nl.row_height())
+            << "\n";
+        scl << "  Height : " << nl.row_height() << "\n";
+        scl << "  SubrowOrigin : " << r.xlo << "  NumSites : "
+            << static_cast<std::size_t>(r.width()) << "\n";
+        scl << "End\n";
+    }
+    return {nodes.str(), nets.str(), pls.str(), scl.str()};
+}
+
+std::string slurp(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream content;
+    content << in.rdbuf();
+    return content.str();
+}
+
+class BookshelfBytesTest : public BookshelfTest {
+protected:
+    /// Writes the design and returns its four files, each asserted equal
+    /// to the iostream reference.
+    std::vector<std::string> expect_reference_bytes(const netlist& nl,
+                                                    const placement& pl) {
+        write_bookshelf(nl, pl, base_);
+        const std::vector<std::string> expected = iostream_reference(nl, pl);
+        std::vector<std::string> files;
+        const char* exts[] = {".nodes", ".nets", ".pl", ".scl"};
+        for (std::size_t f = 0; f < expected.size(); ++f) {
+            files.push_back(slurp(base_ + exts[f]));
+            EXPECT_EQ(files.back().size(), expected[f].size()) << exts[f];
+            EXPECT_TRUE(files.back() == expected[f]) << exts[f] << " differs";
+        }
+        return files;
+    }
+};
+
+TEST_F(BookshelfBytesTest, LegalizedDesignMatchesIostreamReference) {
+    generator_options opt;
+    opt.num_cells = 2000;
+    opt.num_nets = 2200;
+    opt.num_rows = 30;
+    opt.num_pads = 64;
+    opt.seed = 7;
+    const netlist nl = generate_circuit(opt);
+    placer_options popt;
+    popt.max_iterations = 20;
+    placer p(nl, popt);
+    placement legal;
+    legalize(nl, p.run(), legal);
+    ASSERT_GT(nl.num_fixed(), 0u);
+    expect_reference_bytes(nl, legal);
+}
+
+TEST_F(BookshelfBytesTest, FormatEdgeCasesMatchIostreamReference) {
+    const double third = 1.0 / 3;
+    netlist nl;
+    nl.set_region(rect(-0.0, -2.5, 123456789012.5, -2.5 + 4 * third));
+    nl.set_row_height(third);
+    const double widths[] = {5e-324, 2.2250738585072014e-308, 1e-5, 0.1, third,
+                             1e16, 1e17, 123456789012.5, 2.0};
+    for (std::size_t i = 0; i < std::size(widths); ++i) {
+        cell c;
+        c.name = "c" + std::to_string(i);
+        c.width = widths[i];
+        c.height = widths[std::size(widths) - 1 - i];
+        c.fixed = i % 3 == 0;
+        nl.add_cell(c);
+    }
+    const double values[] = {-0.0, 5e-324, 2.2250738585072014e-308, 1e-5, 0.1, third,
+                             1e16, 1e17, 123456789012.5, -2.5, 2.0};
+    net n;
+    n.name = "edges";
+    for (cell_id i = 0; i < nl.num_cells(); ++i) {
+        n.pins.push_back({i, point(values[i], values[std::size(values) - 1 - i])});
+    }
+    n.driver = 2;
+    nl.add_net(n);
+    placement pl(nl.num_cells());
+    for (std::size_t i = 0; i < pl.size(); ++i) {
+        pl[i] = point(values[i], values[(i + 4) % std::size(values)]);
+    }
+    const std::vector<std::string> files = expect_reference_bytes(nl, pl);
+    // The "%.17g" spellings actually reach the files.
+    EXPECT_NE(files[1].find("  c0 I : -0 2\n"), std::string::npos);
+    EXPECT_NE(files[1].find("  c1 I : 4.9406564584124654e-324 -2.5\n"), std::string::npos);
+    EXPECT_NE(files[1].find("  c2 O : 2.2250738585072014e-308 123456789012.5\n"),
+              std::string::npos);
+    EXPECT_NE(files[1].find("  c3 I : 1.0000000000000001e-05 1e+17\n"), std::string::npos);
+    EXPECT_NE(files[1].find("  c4 I : 0.10000000000000001 10000000000000000\n"),
+              std::string::npos);
+    EXPECT_NE(files[1].find("  c5 I : 0.33333333333333331 0.33333333333333331\n"),
+              std::string::npos);
+    EXPECT_EQ(files[2].compare(12, 6, "c0 -0 "), 0) << files[2];
+    EXPECT_NE(files[3].find("  SubrowOrigin : -0  NumSites : 123456789012\n"),
+              std::string::npos);
+}
+
+TEST_F(BookshelfBytesTest, FilesLargerThanTheBufferMatchIostreamReference) {
+    generator_options opt;
+    opt.num_cells = 8000;
+    opt.num_nets = 8800;
+    opt.num_rows = 800;
+    opt.num_pads = 64;
+    opt.seed = 3;
+    const netlist nl = generate_circuit(opt);
+    // Full-precision coordinates spread over the region.
+    const rect r = nl.region();
+    placement pl = nl.initial_placement();
+    for (cell_id i = 0; i < nl.num_cells(); ++i) {
+        if (nl.cell_at(i).fixed) continue;
+        double ip;
+        pl[i] = point(r.xlo + r.width() * std::modf(i * 0.6180339887498949, &ip),
+                      r.ylo + r.height() * std::modf(i * 0.4142135623730950, &ip));
+    }
+    for (const std::string& file : expect_reference_bytes(nl, pl)) {
+        EXPECT_GT(file.size(), std::size_t{64} << 10); // every file drains mid-way
+    }
 }
 
 TEST_F(BookshelfTest, TallMovableNodesBecomeBlocks) {

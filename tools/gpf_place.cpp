@@ -479,6 +479,7 @@ int main(int argc, char** argv) {
                     lr.hpwl_legal, lr.hpwl_refined, lr.row_seconds, lr.refine_seconds,
                     sw.elapsed_seconds());
 
+        const gpf::stopwatch export_sw;
         gpf::write_bookshelf(nl, legal, cli.out);
         gpf::write_placement_svg(nl, legal, cli.out + ".svg");
         if (cli.svg) {
@@ -488,7 +489,8 @@ int main(int argc, char** argv) {
                 gpf::rudy_map(nl, legal, grid.region(), grid.nx(), grid.ny());
             gpf::write_heatmap_svg(grid, rudy, cli.out + "_congestion.svg");
         }
-        std::printf("wrote %s.{nodes,nets,pl,scl,svg}\n", cli.out.c_str());
+        std::printf("wrote %s.{nodes,nets,pl,scl,svg} in %.2fs\n", cli.out.c_str(),
+                    export_sw.elapsed_seconds());
         if (gpf::profiler::instance().enabled()) {
             std::fprintf(stderr, "%s", gpf::profiler::instance().summary().c_str());
         }

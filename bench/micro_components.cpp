@@ -191,7 +191,7 @@ void bm_refine_detailed(benchmark::State& state) {
     }
     state.counters["moves"] = static_cast<double>(moves);
 }
-BENCHMARK(bm_refine_detailed)->Arg(4000)->Arg(20000)->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_refine_detailed)->Arg(4000)->Arg(20000)->Arg(50000)->Unit(benchmark::kMillisecond);
 
 /// The Bookshelf export of an unplaced design (full 17-digit coordinates)
 /// into a temp directory: formatting, the four atomic writes and their

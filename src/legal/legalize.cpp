@@ -37,7 +37,6 @@ legalize_result legalize(const netlist& nl, const placement& global, placement& 
             work = abacus_legalize(nl, work, options.abacus);
             break;
     }
-    result.hpwl_legal = total_hpwl(nl, work);
     // Row legalization postcondition (GPF_VERIFY=1): aligned, contained,
     // overlap-free, fixed cells untouched. refine_detailed() re-checks its
     // own output, so together every stage boundary is covered.
@@ -48,8 +47,14 @@ legalize_result legalize(const netlist& nl, const placement& global, placement& 
         sw.reset();
         result.refine = refine_detailed(nl, work, options.refine);
         result.refine_seconds = sw.elapsed_seconds();
+        // Refinement measures total_hpwl of the placement it starts from
+        // and of the one it leaves: the same doubles, not recomputed here.
+        result.hpwl_legal = result.refine.hpwl_before;
+        result.hpwl_refined = result.refine.hpwl_after;
+    } else {
+        result.hpwl_legal = total_hpwl(nl, work);
+        result.hpwl_refined = result.hpwl_legal;
     }
-    result.hpwl_refined = total_hpwl(nl, work);
 
     out = std::move(work);
     return result;

@@ -1,16 +1,15 @@
 #include "netlist/bookshelf.hpp"
 
-#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <limits>
 #include <sstream>
-#include <string_view>
 #include <unordered_map>
 
 #include "util/check.hpp"
 #include "util/checkpoint.hpp"
 #include "util/fault.hpp"
+#include "util/text_buffer.hpp"
 
 namespace gpf {
 
@@ -121,59 +120,6 @@ std::string first_token(const std::string& value) {
     return token;
 }
 
-/// The writer's formatting buffer. Doubles print as printf's "%.17g" and
-/// counts as plain decimal, both through std::to_chars: the bytes an
-/// iostream at setprecision(17) prints (tests/test_bookshelf.cpp pins them
-/// against one), an exact round trip, and no dependence on the global or
-/// stream locale. Text accumulates in one reusable string that end_line()
-/// drains into the attached stream once it passes drain_bytes, so memory
-/// stays bounded whatever the design size.
-class text_buffer {
-public:
-    static constexpr std::size_t drain_bytes = std::size_t{64} << 10;
-
-    text_buffer() { text_.reserve(drain_bytes + 1024); }
-
-    text_buffer& operator<<(std::string_view s) {
-        text_.append(s);
-        return *this;
-    }
-    text_buffer& operator<<(char c) {
-        text_.push_back(c);
-        return *this;
-    }
-    text_buffer& operator<<(double v) {
-        char digits[32]; // "%.17g" needs at most 24: -d.dddddddddddddddde-ddd
-        const auto res =
-            std::to_chars(digits, digits + sizeof digits, v, std::chars_format::general, 17);
-        text_.append(digits, res.ptr);
-        return *this;
-    }
-    text_buffer& operator<<(std::size_t v) {
-        char digits[24];
-        const auto res = std::to_chars(digits, digits + sizeof digits, v);
-        text_.append(digits, res.ptr);
-        return *this;
-    }
-
-    void attach(std::ostream& out) { out_ = &out; }
-
-    /// Ends the current line; drains once the buffer holds drain_bytes.
-    void end_line() {
-        text_.push_back('\n');
-        if (text_.size() >= drain_bytes) drain();
-    }
-
-    void drain() {
-        out_->write(text_.data(), static_cast<std::streamsize>(text_.size()));
-        text_.clear();
-    }
-
-private:
-    std::string text_;
-    std::ostream* out_ = nullptr;
-};
-
 /// Writes one file through `buf`: an atomic_writer (temp file, fsync,
 /// rename) that `body` fills, drained and committed at the end.
 template <class Body>
@@ -208,7 +154,7 @@ void write_bookshelf(const netlist& nl, const placement& pl,
         }
     }
 
-    text_buffer buf;
+    text_buffer buf(17); // "%.17g": an exact round trip
 
     write_file(base_path + ".nodes", buf, [&] {
         buf << "UCLA nodes 1.0\n";

@@ -1,11 +1,12 @@
 #include "report/svg.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <fstream>
-#include <iomanip>
 
 #include "core/metrics.hpp"
 #include "util/check.hpp" // io_error
+#include "util/text_buffer.hpp"
 
 namespace gpf {
 
@@ -14,9 +15,12 @@ namespace {
 std::ofstream open_svg(const std::string& path) {
     std::ofstream out(path);
     if (!out) throw io_error("cannot open '" + path + "' for writing");
-    out << std::setprecision(8);
     return out;
 }
+
+/// Coordinates print as "%.8g", what the writers' iostream at
+/// setprecision(8) printed.
+constexpr int kSvgPrecision = 8;
 
 /// Map a [0,1] heat value onto a blue→yellow→red ramp.
 std::string heat_color(double t) {
@@ -50,25 +54,28 @@ void write_placement_svg(const netlist& nl, const placement& pl,
     const double margin = 2.0; // layout units around the core
 
     auto out = open_svg(path);
+    text_buffer buf(kSvgPrecision);
+    buf.attach(out);
     const double width = (region.width() + 2 * margin) * s;
     const double height = (region.height() + 2 * margin) * s;
     // SVG y grows downward; flip so the layout's y grows upward.
     const auto sx = [&](double x) { return (x - region.xlo + margin) * s; };
     const auto sy = [&](double y) { return height - (y - region.ylo + margin) * s; };
 
-    out << "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"" << width
+    buf << "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"" << width
         << "\" height=\"" << height << "\">\n";
-    out << "<rect width=\"100%\" height=\"100%\" fill=\"white\"/>\n";
+    buf << "<rect width=\"100%\" height=\"100%\" fill=\"white\"/>\n";
 
     // Core region outline + row lines.
-    out << "<rect x=\"" << sx(region.xlo) << "\" y=\"" << sy(region.yhi) << "\" width=\""
+    buf << "<rect x=\"" << sx(region.xlo) << "\" y=\"" << sy(region.yhi) << "\" width=\""
         << region.width() * s << "\" height=\"" << region.height() * s
         << "\" fill=\"#f8f8f8\" stroke=\"#444\"/>\n";
     for (std::size_t r = 1; r < nl.num_rows(); ++r) {
         const double y = region.ylo + static_cast<double>(r) * nl.row_height();
-        out << "<line x1=\"" << sx(region.xlo) << "\" y1=\"" << sy(y) << "\" x2=\""
+        buf << "<line x1=\"" << sx(region.xlo) << "\" y1=\"" << sy(y) << "\" x2=\""
             << sx(region.xhi) << "\" y2=\"" << sy(y)
-            << "\" stroke=\"#eee\" stroke-width=\"0.5\"/>\n";
+            << "\" stroke=\"#eee\" stroke-width=\"0.5\"/>";
+        buf.end_line();
     }
 
     // Net bounding boxes (optional, capped).
@@ -79,10 +86,11 @@ void write_placement_svg(const netlist& nl, const placement& pl,
             if (n.degree() < 2) continue;
             rect bbox;
             for (const pin& p : n.pins) bbox.expand_to(pin_position(nl, pl, p));
-            out << "<rect x=\"" << sx(bbox.xlo) << "\" y=\"" << sy(bbox.yhi)
+            buf << "<rect x=\"" << sx(bbox.xlo) << "\" y=\"" << sy(bbox.yhi)
                 << "\" width=\"" << bbox.width() * s << "\" height=\""
                 << bbox.height() * s
-                << "\" fill=\"none\" stroke=\"#8fbf8f\" stroke-width=\"0.4\"/>\n";
+                << "\" fill=\"none\" stroke=\"#8fbf8f\" stroke-width=\"0.4\"/>";
+            buf.end_line();
             ++drawn;
         }
     }
@@ -91,7 +99,7 @@ void write_placement_svg(const netlist& nl, const placement& pl,
     for (cell_id i = 0; i < nl.num_cells(); ++i) {
         const cell& c = nl.cell_at(i);
         const rect r = rect::from_center(pl[i], c.width, c.height);
-        std::string fill = "#b0b0d8";
+        const char* fill = "#b0b0d8";
         if (options.color_by_kind) {
             switch (c.kind) {
                 case cell_kind::standard: fill = "#b0b0d8"; break;
@@ -99,11 +107,13 @@ void write_placement_svg(const netlist& nl, const placement& pl,
                 case cell_kind::pad: fill = "#303030"; break;
             }
         }
-        out << "<rect x=\"" << sx(r.xlo) << "\" y=\"" << sy(r.yhi) << "\" width=\""
+        buf << "<rect x=\"" << sx(r.xlo) << "\" y=\"" << sy(r.yhi) << "\" width=\""
             << r.width() * s << "\" height=\"" << r.height() * s << "\" fill=\"" << fill
-            << "\" fill-opacity=\"0.8\" stroke=\"#555\" stroke-width=\"0.3\"/>\n";
+            << "\" fill-opacity=\"0.8\" stroke=\"#555\" stroke-width=\"0.3\"/>";
+        buf.end_line();
     }
-    out << "</svg>\n";
+    buf << "</svg>\n";
+    buf.drain();
 }
 
 void write_heatmap_svg(const density_map& grid, const std::vector<double>& values,
@@ -120,7 +130,9 @@ void write_heatmap_svg(const density_map& grid, const std::vector<double>& value
     const rect region = grid.region();
     const double s = pixels_per_unit;
     auto out = open_svg(path);
-    out << "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"" << region.width() * s
+    text_buffer buf(kSvgPrecision);
+    buf.attach(out);
+    buf << "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"" << region.width() * s
         << "\" height=\"" << region.height() * s << "\">\n";
     for (std::size_t ix = 0; ix < grid.nx(); ++ix) {
         for (std::size_t iy = 0; iy < grid.ny(); ++iy) {
@@ -129,12 +141,14 @@ void write_heatmap_svg(const density_map& grid, const std::vector<double>& value
             // Flip y so layout-up is image-up.
             const double y =
                 (region.height() - static_cast<double>(iy + 1) * grid.bin_height()) * s;
-            out << "<rect x=\"" << x << "\" y=\"" << y << "\" width=\""
+            buf << "<rect x=\"" << x << "\" y=\"" << y << "\" width=\""
                 << grid.bin_width() * s << "\" height=\"" << grid.bin_height() * s
-                << "\" fill=\"" << heat_color(v) << "\"/>\n";
+                << "\" fill=\"" << heat_color(v) << "\"/>";
+            buf.end_line();
         }
     }
-    out << "</svg>\n";
+    buf << "</svg>\n";
+    buf.drain();
 }
 
 } // namespace gpf

@@ -5,8 +5,10 @@
 // cache; every accepted and rejected move, and so every coordinate and
 // every refine_result field, must stay bit for bit what the from-scratch
 // evaluation produced. Designs cover flat rows, rows split into several
-// segments by blocks, degree-1 nets and a cell with two pins on one net;
-// option sets cover every relocation window shape and each move type alone.
+// segments by blocks, degree-1 nets, a cell with two pins on one net and
+// an ECO-edited design; option sets cover every relocation window shape,
+// narrow and wide, and each move type alone. Hand-built rows put gap
+// edges exactly on the relocation window's bounds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,12 +21,15 @@
 
 #include "core/metrics.hpp"
 #include "core/placer.hpp"
+#include "eco/eco.hpp"
 #include "legal/abacus.hpp"
 #include "legal/blocks.hpp"
+#include "legal/legalize.hpp"
 #include "legal/refine.hpp"
 #include "legal/rows.hpp"
 #include "netlist/generator.hpp"
 #include "util/check.hpp"
+#include "util/prng.hpp"
 
 namespace gpf {
 namespace {
@@ -413,6 +418,43 @@ design odd_nets() {
     return d;
 }
 
+/// A placed and legalized 2k design after an ECO edit: 100 new 2x1 cells
+/// (5%), each on a new net with up to three pre-existing cells, seeded by
+/// seed_new_cells and moved by incremental_place. Legalization pushes
+/// the new cells and their neighbours far from where refinement wants
+/// them, so the input is heavy in relocations.
+design eco_edited() {
+    const design base = placed(generated(2000, 0));
+    placement base_legal;
+    legalize(base.nl, base.global, base_legal);
+
+    design d{base.nl, {}};
+    const std::size_t n0 = d.nl.num_cells();
+    prng rng(2024);
+    for (std::size_t i = 0; i < 100; ++i) {
+        cell c;
+        c.name = "eco" + std::to_string(i);
+        c.width = 2.0;
+        c.height = 1.0;
+        const cell_id id = d.nl.add_cell(std::move(c));
+        net n;
+        n.name = "eco_net" + std::to_string(i);
+        n.pins.push_back({id, {}});
+        for (int k = 0; k < 3; ++k) {
+            const auto target = static_cast<cell_id>(rng.next_below(n0));
+            const bool dup = std::any_of(n.pins.begin(), n.pins.end(),
+                                         [&](const pin& q) { return q.cell == target; });
+            if (!dup) n.pins.push_back({target, {}});
+        }
+        n.driver = 0;
+        d.nl.add_net(std::move(n));
+    }
+    d.nl.invalidate_adjacency();
+    d.global = incremental_place(d.nl, seed_new_cells(d.nl, base_legal, n0), n0).pl;
+    legalize_blocks(d.nl, d.global);
+    return d;
+}
+
 // --- comparisons ------------------------------------------------------------
 
 ::testing::AssertionResult bitwise_equal(const placement& expected, const placement& got) {
@@ -448,6 +490,8 @@ std::vector<option_set> option_sets() {
         {"window_rows=0", with([](refine_options& o) { o.window_rows = 0; })},
         {"window_rows=1", with([](refine_options& o) { o.window_rows = 1; })},
         {"window_rows=3", with([](refine_options& o) { o.window_rows = 3; })},
+        {"window_width=0.5", with([](refine_options& o) { o.window_width = 0.5; })},
+        {"window_width=2", with([](refine_options& o) { o.window_width = 2.0; })},
         {"swaps only", with([](refine_options& o) { o.enable_relocation = false; })},
         {"relocation only", with([](refine_options& o) { o.enable_swaps = false; })},
     };
@@ -497,6 +541,96 @@ TEST(LegalizationOracle, BlocksSplitRowsIntoSegments) {
 }
 
 TEST(LegalizationOracle, DegreeOneNetsAndRepeatedCellPins) { check_against_frozen(odd_nets()); }
+
+TEST(LegalizationOracle, EcoEditedDesign) { check_against_frozen(eco_edited()); }
+
+/// One row, region x in [-40, 40]: a movable cell of width `w` at
+/// `sign * x0`, a fixed standard cell blocking [sign * (x0 + w/2 + lead),
+/// sign * edge], and on the cell's only net a pad at sign * (edge + w/2).
+/// The one gap beyond the blockage starts at sign * edge and runs to the
+/// region's end, so the cell's only improving candidate is the gap's near
+/// end, on the pad. With sign = -1 the design is the mirror image, and
+/// the gap ends, not starts, at the window's bound.
+design edge_row(double sign, double x0, double w, double lead, double edge) {
+    design d;
+    d.nl.set_region(rect(-40.0, 0.0, 40.0, 1.0));
+    d.nl.set_row_height(1.0);
+    cell mover;
+    mover.name = "mover";
+    mover.width = w;
+    const cell_id m = d.nl.add_cell(std::move(mover));
+    // Chosen so that from_center() puts the edges exactly where stated.
+    const double block_lo = x0 + w / 2 + lead;
+    cell block;
+    block.name = "block";
+    block.width = edge - block_lo;
+    block.fixed = true;
+    block.position = point(sign * (block_lo + edge) / 2, 0.5);
+    d.nl.add_cell(std::move(block));
+    cell pad;
+    pad.name = "pad";
+    pad.kind = cell_kind::pad;
+    pad.fixed = true;
+    pad.position = point(sign * (edge + w / 2), 0.5);
+    const cell_id p = d.nl.add_cell(std::move(pad));
+    net n;
+    n.name = "pull";
+    n.pins = {{m, point()}, {p, point()}};
+    d.nl.add_net(std::move(n));
+    d.global = d.nl.initial_placement();
+    d.global[m] = point(sign * x0, 0.5);
+
+    const row_model rows(d.nl, d.global, /*treat_blocks_as_obstacles=*/true);
+    const std::vector<row_segment>& segs = rows.row(0).segments;
+    EXPECT_EQ(segs.size(), 2u);
+    if (segs.size() == 2) {
+        EXPECT_EQ(sign > 0 ? segs[1].xlo : -segs[0].xhi, edge);
+        EXPECT_EQ(sign > 0 ? segs[0].xhi : -segs[1].xlo, block_lo);
+    }
+    return d;
+}
+
+/// Gap edges on the relocation window's bounds (default window: 16 row
+/// heights of 1.0). The window test accepts a candidate at exactly
+/// window_x, so each design's cell relocates once, into the gap whose
+/// edge sits on the bound; a scan that drops any gap the exact test would
+/// accept changes the result.
+TEST(LegalizationOracle, GapEdgesOnWindowBounds) {
+    constexpr double u = 0x1p-48; // spacing of doubles in [16, 32)
+    struct edge_case {
+        const char* name;
+        double x0;
+        double w;
+        double lead;
+        double edge;
+    };
+    const edge_case cases[] = {
+        // A unit cell at 10 whose nearest fit lies at exactly 10 + 16.
+        {"unit cell", 10.0, 1.0, 0.0, 25.5},
+        // A cell narrower than the doubles' spacing near the bound. The
+        // gap starts one spacing past fl(x0 + 16), the cell's nearest fit
+        // is the gap's start, and fl(edge - x0) rounds back to exactly 16:
+        // the exact test accepts a gap that starts beyond the rounded
+        // window bound, which only the scan's margin keeps in reach.
+        {"sub-spacing cell", 2.5 * u, 0x1p-50, 0.375 * u, 16.0 + 3 * u},
+    };
+    for (const edge_case& c : cases) {
+        for (const double sign : {1.0, -1.0}) {
+            SCOPED_TRACE(std::string(c.name) + (sign > 0 ? " right" : " left"));
+            const design d = edge_row(sign, c.x0, c.w, c.lead, c.edge);
+            placement expected = d.global;
+            placement got = d.global;
+            const refine_result e = frozen::refine_detailed(d.nl, expected, {});
+            const refine_result r = refine_detailed(d.nl, got, {});
+            EXPECT_EQ(e.relocations, 1u);
+            EXPECT_EQ(expected[0].x, sign * (c.edge + c.w / 2));
+            EXPECT_TRUE(bitwise_equal(expected, got));
+            EXPECT_EQ(r.relocations, e.relocations);
+            EXPECT_EQ(r.passes, e.passes);
+            EXPECT_TRUE(same_bits(r.hpwl_after, e.hpwl_after));
+        }
+    }
+}
 
 } // namespace
 } // namespace gpf

@@ -146,6 +146,26 @@ TEST(Legalize, FullPipelineEndsOverlapFree) {
     EXPECT_TRUE(is_row_legal(nl, legal));
 }
 
+TEST(Legalize, ReportsHpwlOfRowLegalAndFinalPlacements) {
+    const netlist nl = circuit_for_legalization();
+    placer p(nl, {});
+    const placement global = p.run();
+
+    legalize_options no_refine;
+    no_refine.run_refinement = false;
+    placement row_legal;
+    const legalize_result rows_only = legalize(nl, global, row_legal, no_refine);
+    EXPECT_EQ(rows_only.hpwl_legal, total_hpwl(nl, row_legal));
+    EXPECT_EQ(rows_only.hpwl_refined, rows_only.hpwl_legal);
+
+    placement refined;
+    const legalize_result full = legalize(nl, global, refined);
+    ASSERT_GT(full.refine.swaps + full.refine.relocations, 0u);
+    EXPECT_EQ(full.hpwl_global, total_hpwl(nl, global));
+    EXPECT_EQ(full.hpwl_legal, total_hpwl(nl, row_legal));
+    EXPECT_EQ(full.hpwl_refined, total_hpwl(nl, refined));
+}
+
 TEST(Legalize, ReportsLayerSecondsWithinCallerWallTime) {
     const netlist nl = circuit_for_legalization();
     placer p(nl, {});
